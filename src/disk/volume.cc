@@ -6,6 +6,20 @@
 namespace v3sim::disk
 {
 
+namespace
+{
+
+uint64_t
+minChildCapacity(const std::vector<Volume *> &children)
+{
+    uint64_t min_child = UINT64_MAX;
+    for (const Volume *child : children)
+        min_child = std::min(min_child, child->capacity());
+    return min_child;
+}
+
+} // namespace
+
 sim::Task<bool>
 SingleDiskVolume::read(uint64_t offset, uint64_t len,
                        sim::MemorySpace &mem, sim::Addr addr)
@@ -116,17 +130,10 @@ StripeVolume::StripeVolume(std::vector<Volume *> children,
 {
     assert(!children_.empty());
     assert(stripe_unit_ > 0);
-}
-
-uint64_t
-StripeVolume::capacity() const
-{
-    uint64_t min_child = UINT64_MAX;
-    for (const Volume *child : children_)
-        min_child = std::min(min_child, child->capacity());
-    // Whole stripes only.
-    const uint64_t stripes = min_child / stripe_unit_;
-    return stripes * stripe_unit_ * children_.size();
+    // Whole stripes only. Child capacities never change, so the
+    // per-I/O bounds check reads a cached value.
+    const uint64_t stripes = minChildCapacity(children_) / stripe_unit_;
+    capacity_ = stripes * stripe_unit_ * children_.size();
 }
 
 sim::Task<bool>
@@ -215,18 +222,10 @@ StripeVolume::corrupt(uint64_t offset, uint64_t len) const
 }
 
 MirrorVolume::MirrorVolume(std::vector<Volume *> children)
-    : children_(std::move(children))
+    : children_(std::move(children)),
+      capacity_(minChildCapacity(children_))
 {
     assert(!children_.empty());
-}
-
-uint64_t
-MirrorVolume::capacity() const
-{
-    uint64_t min_child = UINT64_MAX;
-    for (const Volume *child : children_)
-        min_child = std::min(min_child, child->capacity());
-    return min_child;
 }
 
 sim::Task<bool>

@@ -28,9 +28,9 @@ SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
     // attributing the whole stay to whichever window it ends in.
     CpuPool::Run *stay = lease.pool()->beginRun(CpuCat::Lock);
 
-    // Park into the tail batch (same-tick contenders share one) and
-    // resume when that batch's turn completes. Local awaiter: it has
-    // access to the enclosing class's private members.
+    // Park in this tick's batch and resume when that batch's turn
+    // completes. Local awaiter: it has access to the enclosing
+    // class's private members.
     struct BatchJoin
     {
         SimLock *lock;
@@ -41,13 +41,7 @@ SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
         void
         await_suspend(std::coroutine_handle<> h) const
         {
-            auto &waiting = lock->waiting_;
-            if (waiting.empty() ||
-                waiting.back().arrived != lock->sim_.now())
-                waiting.push_back(Batch{lock->sim_.now(), 0, {}});
-            waiting.back().total_hold += hold;
-            waiting.back().members.push_back(h);
-            lock->scheduleArbitration();
+            lock->join(h, hold);
         }
 
         void await_resume() const {}
@@ -73,42 +67,79 @@ SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
 }
 
 void
-SimLock::scheduleArbitration()
+SimLock::join(std::coroutine_handle<> member, sim::Tick hold)
 {
-    if (busy_ || arb_scheduled_ || waiting_.empty())
+    const sim::Tick now = sim_.now();
+    if (!busy_) {
+        // A free lock has no waiters: open a batch and grant it now.
+        serve(Batch{now, hold, {member}});
         return;
-    arb_scheduled_ = true;
-    // Final band: the grant decision must see every same-tick
-    // contender, so the served set cannot depend on the tie-shuffled
-    // order in which they arrived (DESIGN.md §8.3).
-    sim_.queue().scheduleFinal([this] {
-        arb_scheduled_ = false;
-        if (!busy_ && !waiting_.empty())
-            serveBatch();
-    });
+    }
+    // A batch that arrived this tick is still open to the tick's
+    // other contenders, serving or not; its end moves out with each.
+    Batch *batch = &serving_;
+    if (serving_.arrived != now) {
+        if (waiting_.empty() || waiting_.back().arrived != now)
+            waiting_.push_back(Batch{now, 0, {}});
+        batch = &waiting_.back();
+    }
+    batch->total_hold += hold;
+    batch->members.push_back(member);
 }
 
 void
-SimLock::serveBatch()
+SimLock::serve(Batch batch)
 {
     busy_ = true;
-    Batch batch = std::move(waiting_.front());
-    waiting_.pop_front();
+    serving_ = std::move(batch);
+    serving_start_ = sim_.now();
+    armCompletion();
+}
+
+sim::Tick
+SimLock::servingEnd() const
+{
     // The batch serializes inside the lock — the sum of the members'
     // critical sections plus one release op each — but exits as one:
     // per-member exit times are a function of the batch *set*, with
     // no per-member assignment an arrival order could perturb.
-    const sim::Tick duration =
-        batch.total_hold +
-        static_cast<sim::Tick>(batch.members.size()) *
-            costs_.lock_release;
-    sim_.queue().schedule(
-        duration, [this, members = std::move(batch.members)] {
-            busy_ = false;
-            scheduleArbitration();
-            for (const auto &member : members)
-                member.resume();
-        });
+    return serving_start_ + serving_.total_hold +
+           static_cast<sim::Tick>(serving_.members.size()) *
+               costs_.lock_release;
+}
+
+void
+SimLock::armCompletion()
+{
+    const sim::Tick delay = servingEnd() - sim_.now();
+    // A zero-length batch completes in the final band, so it stays
+    // open to every same-tick contender (DESIGN.md §8.3).
+    if (delay > 0)
+        sim_.queue().schedule(delay, [this] { onComplete(); });
+    else
+        sim_.queue().scheduleFinal([this] { onComplete(); });
+}
+
+void
+SimLock::onComplete()
+{
+    // Same-tick joiners moved the end out after this event was armed.
+    if (sim_.now() < servingEnd()) {
+        armCompletion();
+        return;
+    }
+    const std::vector<std::coroutine_handle<>> members =
+        std::move(serving_.members);
+    busy_ = false;
+    if (!waiting_.empty()) {
+        // The front batch's membership is fixed unless it arrived this
+        // tick, in which case it keeps absorbing same-tick joiners.
+        Batch next = std::move(waiting_.front());
+        waiting_.pop_front();
+        serve(std::move(next));
+    }
+    for (const auto &member : members)
+        member.resume();
 }
 
 } // namespace v3sim::osmodel

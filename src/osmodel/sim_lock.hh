@@ -16,15 +16,19 @@
  * Determinism (DESIGN.md §8.3): contenders whose acquire ops land on
  * the same tick are a *race* — their relative order is unspecified
  * and tie-shuffled. The lock therefore never arbitrates by arrival
- * order. Same-tick contenders form one *batch*; a batch is granted
- * in the tick's final band and occupies the lock for the sum of its
- * members' critical sections (plus one release op each), and all
- * members exit together when the batch completes. Every observable —
- * exit times, spin accounting, contention counts — is a function of
- * the batch *set*, so runs are invariant under the tie-shuffle seed.
- * Contenders arriving on distinct ticks keep strict FIFO order, so
- * the uncontended fast path costs exactly acquire + hold + release,
- * as before.
+ * order. Same-tick contenders form one *batch* that occupies the lock
+ * for the sum of its members' critical sections (plus one release op
+ * each), and all members exit together when the batch completes.
+ * The grant is decided on arrival: a contender that finds the lock
+ * free opens a batch and arms its completion at once, and later
+ * same-tick contenders join it while its arrival tick is still now,
+ * moving its end out (a completion that fires early re-arms at the
+ * true end). Members stay suspended until completion, so nothing
+ * observes the provisional grant, and every observable — exit times,
+ * spin accounting, contention counts — is a function of the batch
+ * *set*, invariant under the tie-shuffle seed. Contenders arriving
+ * on distinct ticks keep strict FIFO order, and an uncontended pair
+ * costs exactly acquire + hold + release in two events.
  */
 
 #ifndef V3SIM_OSMODEL_SIM_LOCK_HH
@@ -87,15 +91,23 @@ class SimLock
         std::vector<std::coroutine_handle<>> members;
     };
 
-    /** Coalesced final-band grant of the head batch (if lock free). */
-    void scheduleArbitration();
-    void serveBatch();
+    /** Adds a contender that arrived now to its batch: the serving
+     *  batch if it arrived this tick, a waiting batch if the lock is
+     *  held, or a new serving batch if the lock is free. */
+    void join(std::coroutine_handle<> member, sim::Tick hold);
+    /** Starts @p batch on the lock now and arms its completion. */
+    void serve(Batch batch);
+    /** Tick the serving batch releases the lock. */
+    sim::Tick servingEnd() const;
+    void armCompletion();
+    void onComplete();
 
     sim::Simulation &sim_;
     const HostCosts &costs_;
     std::string name_;
     bool busy_ = false; ///< a batch currently owns the lock
-    bool arb_scheduled_ = false;
+    Batch serving_{};
+    sim::Tick serving_start_ = 0;
     std::deque<Batch> waiting_;
     sim::Counter acquisitions_;
     sim::Counter contended_;

@@ -136,11 +136,11 @@ class EventQueue
      * tick, so an arbitration callback sees the effects of the chains
      * it races with.
      *
-     * This is the hook for contention arbitration points (disk queue
-     * pick, SimLock batch grant): deciding in the final band makes
-     * the decision a function of the *set* of same-tick contenders
-     * rather than of their (unspecified, tie-shuffled) arrival order.
-     * See DESIGN.md §8.3.
+     * This is the hook for contention arbitration points whose grant
+     * cannot be undone (disk queue pick, CPU grant): deciding in the
+     * final band makes the decision a function of the *set* of
+     * same-tick contenders rather than of their (unspecified,
+     * tie-shuffled) arrival order. See DESIGN.md §8.3.
      */
     void scheduleFinal(EventFn fn);
 

@@ -34,6 +34,26 @@ ServerPool::releaseJob(Job *job)
     free_jobs_ = job;
 }
 
+bool
+ServerPool::before(const Job *a, const Job *b)
+{
+    if (a->enqueued != b->enqueued)
+        return a->enqueued < b->enqueued;
+    if (a->order_key != b->order_key)
+        return a->order_key < b->order_key;
+    return a->seq < b->seq;
+}
+
+std::vector<ServerPool::Job *> &
+ServerPool::provisional()
+{
+    if (provisional_tick_ != queue_.now()) {
+        provisional_tick_ = queue_.now();
+        provisional_.clear();
+    }
+    return provisional_;
+}
+
 void
 ServerPool::submit(Tick service, EventFn done, uint64_t order_key)
 {
@@ -43,33 +63,35 @@ ServerPool::submit(Tick service, EventFn done, uint64_t order_key)
     job->order_key = order_key;
     job->seq = next_seq_++;
     job->done = std::move(done);
-    // Never start in submission order: same-tick submissions race
-    // (DESIGN.md §8.3). Gather them and admit in the final band,
-    // ordered by (order_key, seq).
-    const auto after = [](const Job *a, const Job *b) {
-        return a->order_key < b->order_key ||
-               (a->order_key == b->order_key && a->seq < b->seq);
-    };
-    pending_.insert(std::upper_bound(pending_.begin(), pending_.end(),
-                                     job, after),
-                    job);
-    if (!admit_scheduled_) {
-        admit_scheduled_ = true;
-        queue_.scheduleFinal([this] { admitPending(); });
+    if (busy_ < servers_) {
+        startJob(job);
+        return;
     }
+    // Never start in submission order: same-tick submissions race
+    // (DESIGN.md §8.3). A job that sorts before the latest-sorting job
+    // started this tick takes that job's server, as if the tick's jobs
+    // had all arrived in queue order.
+    std::vector<Job *> &running = provisional();
+    const auto last = std::max_element(running.begin(), running.end(),
+                                       before);
+    if (last != running.end() && before(job, *last)) {
+        Job *displaced = *last;
+        running.erase(last);
+        ++displaced->gen;
+        enqueue(displaced);
+        runJob(job);
+        return;
+    }
+    enqueue(job);
 }
 
 void
-ServerPool::admitPending()
+ServerPool::enqueue(Job *job)
 {
-    admit_scheduled_ = false;
-    for (Job *job : pending_) {
-        if (busy_ < servers_)
-            startJob(job);
-        else
-            waiting_.push_back(job);
-    }
-    pending_.clear();
+    auto it = waiting_.end();
+    while (it != waiting_.begin() && before(job, *(it - 1)))
+        --it;
+    waiting_.insert(it, job);
 }
 
 void
@@ -77,16 +99,35 @@ ServerPool::startJob(Job *job)
 {
     ++busy_;
     busy_integral_.set(queue_.now(), static_cast<double>(busy_));
-    wait_stats_.add(static_cast<double>(queue_.now() - job->enqueued));
-    queue_.schedule(job->service, [this, job] { onJobDone(job); });
+    runJob(job);
 }
 
 void
-ServerPool::onJobDone(Job *job)
+ServerPool::runJob(Job *job)
 {
+    job->started = queue_.now();
+    if (job->enqueued == job->started)
+        provisional().push_back(job);
+    const auto fire = [this, job, gen = job->gen] { onJobDone(job, gen); };
+    // A zero-service job completes in the final band, so it stays
+    // displaceable until every same-tick job has been submitted.
+    if (job->service > 0)
+        queue_.schedule(job->service, fire);
+    else
+        queue_.scheduleFinal(fire);
+}
+
+void
+ServerPool::onJobDone(Job *job, uint32_t gen)
+{
+    if (job->gen != gen)
+        return; // this start was displaced by a same-tick job
+    if (job->started == queue_.now())
+        std::erase(provisional(), job);
     --busy_;
     busy_integral_.set(queue_.now(), static_cast<double>(busy_));
     ++completed_;
+    wait_stats_.add(static_cast<double>(job->started - job->enqueued));
     EventFn done = std::move(job->done);
     releaseJob(job);
     if (!waiting_.empty()) {

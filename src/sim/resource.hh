@@ -10,12 +10,16 @@
  *
  * Determinism (DESIGN.md §8.3): jobs submitted on the same tick are a
  * race — their submission order is unspecified and tie-shuffled, so
- * the pool never starts them in arrival order. Submissions gather
- * over the tick and are admitted in one final-band pass ordered by
- * (order_key, submission); jobs from distinct ticks keep strict FIFO.
- * Callers whose same-tick jobs can interleave pass distinct
- * order_keys (a transfer tag, a source port); same-key jobs keep
- * their relative submission order, which is how multi-fragment
+ * the pool never starts them in arrival order. Same-tick jobs are
+ * ordered by (order_key, submission); jobs from distinct ticks keep
+ * strict FIFO. A job that finds a free server starts on arrival, but
+ * provisionally while its submission tick lasts: a later same-tick
+ * job that sorts before it takes its server back, and the displaced
+ * job returns to the queue at its sorted place. Nothing observes a
+ * job before its completion, so the started set is a function of the
+ * tick's job set. Callers whose same-tick jobs can interleave pass
+ * distinct order_keys (a transfer tag, a source port); same-key jobs
+ * keep their relative submission order, which is how multi-fragment
  * transfers stay in order.
  */
 
@@ -54,8 +58,10 @@ class ServerPool
 
     /**
      * Enqueues a job; @p done fires when its service completes. The
-     * job starts in this tick's final band at the earliest; same-tick
-     * submissions are ordered by @p order_key, then submission.
+     * job starts now if a server is free, or if it sorts before a
+     * job started this tick, whose server it then takes; same-tick
+     * submissions are ordered by @p order_key, then submission. A
+     * zero-service job completes in this tick's final band.
      */
     void submit(Tick service, EventFn done, uint64_t order_key = 0);
 
@@ -90,7 +96,8 @@ class ServerPool
     /** Fraction of server-capacity busy over the observed window. */
     double utilization() const;
 
-    /** Distribution of time jobs spent waiting for a server (ns). */
+    /** Distribution of time jobs spent waiting for a server (ns),
+     *  sampled as each job completes. */
     const Sampler &waitStats() const { return wait_stats_; }
 
     /** Jobs completed so far. */
@@ -100,36 +107,50 @@ class ServerPool
     void resetStats();
 
   private:
-    /** Pooled job node: completion events capture only {pool, node},
-     *  so the service-completion path never heap-allocates no matter
-     *  how large the done callback's inline state is. */
+    /** Pooled job node: completion events capture only {pool, node,
+     *  generation}, so the service-completion path never
+     *  heap-allocates no matter how large the done callback's inline
+     *  state is. */
     struct Job
     {
         Tick service = 0;
         Tick enqueued = 0;
+        Tick started = 0;
         uint64_t order_key = 0;
         uint64_t seq = 0; ///< submission tiebreak among equal keys
+        /** Bumped when the job is displaced from its server, so the
+         *  completion event armed for that start is ignored. Never
+         *  reset: stale events stay stale across slot reuse. */
+        uint32_t gen = 0;
         EventFn done;
         Job *next_free = nullptr;
     };
 
+    /** Queue order: (enqueued, order_key, seq). */
+    static bool before(const Job *a, const Job *b);
+
     Job *allocJob();
     void releaseJob(Job *job);
+    /** Takes a free server for @p job. */
     void startJob(Job *job);
-    void onJobDone(Job *job);
-    /** Final-band pass: moves this tick's submissions, in
-     *  (order_key, seq) order, onto servers or the FIFO queue. */
-    void admitPending();
+    /** Arms @p job's completion on the server it now holds. */
+    void runJob(Job *job);
+    /** Inserts @p job into waiting_ at its queue-order place. */
+    void enqueue(Job *job);
+    /** Running jobs enqueued and started this tick (displaceable). */
+    std::vector<Job *> &provisional();
+    void onJobDone(Job *job, uint32_t gen);
 
     EventQueue &queue_;
     int servers_;
     std::string name_;
     int busy_ = 0;
+    /** Jobs awaiting a server, in queue order. Non-empty only while
+     *  every server is busy. */
     std::deque<Job *> waiting_;
-    /** Same-tick submissions awaiting the final-band admission. */
-    std::vector<Job *> pending_;
+    std::vector<Job *> provisional_;
+    Tick provisional_tick_ = -1;
     uint64_t next_seq_ = 0;
-    bool admit_scheduled_ = false;
     /** Slab owning every Job node (deque: stable addresses). */
     std::deque<Job> slab_;
     Job *free_jobs_ = nullptr;

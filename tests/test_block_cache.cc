@@ -110,9 +110,8 @@ TEST_F(LruCacheTest, InvalidateRespectsPins)
 
 TEST_F(LruCacheTest, HitRatioMath)
 {
-    cache_.lookupAndPin(key(1)); // miss
+    cache_.lookupAndPin(key(1)); // miss: pins nothing
     cache_.insertAndPin(key(1));
-    cache_.unpin(key(1));
     cache_.unpin(key(1));
     cache_.lookupAndPin(key(1)); // hit
     cache_.unpin(key(1));

@@ -31,7 +31,7 @@ class LocalBackendTestFixture : public ::testing::Test
         for (int i = 0; i < 4; ++i) {
             disks_.push_back(std::make_unique<disk::Disk>(
                 sim_, disk::DiskSpec::scsi10k(), sim_.forkRng(),
-                "d" + std::to_string(i)));
+                std::string("d").append(std::to_string(i))));
             parts_.push_back(
                 std::make_unique<disk::SingleDiskVolume>(
                     *disks_.back()));

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "sim/resource.hh"
@@ -93,6 +95,90 @@ TEST(ServerPool, ZeroServiceJobsCompleteSameTick)
     sim.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(ServerPool, UncontendedJobFiresOneEvent)
+{
+    // The grant is decided on arrival: no admission event, only the
+    // service completion.
+    Simulation sim;
+    ServerPool pool(sim.queue(), 1);
+    bool done = false;
+    pool.submit(usecs(10), [&] { done = true; });
+    sim.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(sim.queue().firedCount(), 1u);
+}
+
+// DESIGN.md §8.3: a same-tick job that sorts before one already
+// started on this tick takes its server; the displaced job's stale
+// completion event is ignored.
+TEST(ServerPool, SameTickLowerKeyDisplacesProvisionalStart)
+{
+    Simulation sim;
+    ServerPool pool(sim.queue(), 1);
+    std::vector<std::pair<uint64_t, Tick>> done_at;
+    // Each key displaces the one before it; the displaced jobs queue
+    // in key order, not in displacement order.
+    for (const uint64_t key : {5u, 3u, 1u}) {
+        pool.submit(
+            usecs(10), [&, key] { done_at.emplace_back(key, sim.now()); },
+            key);
+    }
+    sim.run();
+    EXPECT_EQ(done_at, (std::vector<std::pair<uint64_t, Tick>>{
+                           {1, usecs(10)}, {3, usecs(20)}, {5, usecs(30)}}));
+    EXPECT_EQ(pool.completedCount(), 3u);
+    // Three completions plus the two displaced starts' stale events.
+    EXPECT_EQ(sim.queue().firedCount(), 5u);
+    EXPECT_EQ(pool.utilization(), 1.0);
+    EXPECT_DOUBLE_EQ(pool.waitStats().mean(),
+                     static_cast<double>(usecs(10)));
+}
+
+TEST(ServerPool, SameTickStartsIndependentOfArrivalOrder)
+{
+    // Two servers, three same-tick jobs: keys 1 and 2 start at once,
+    // key 3 takes the first server to free up — in every arrival
+    // order.
+    const std::array<Tick, 3> service{usecs(10), usecs(30), usecs(5)};
+    std::array<uint64_t, 3> keys{1, 2, 3};
+    int orders = 0;
+    do {
+        Simulation sim;
+        ServerPool pool(sim.queue(), 2);
+        std::array<Tick, 3> done_at{};
+        for (const uint64_t key : keys) {
+            const size_t i = key - 1;
+            pool.submit(service[i], [&, i] { done_at[i] = sim.now(); },
+                        key);
+        }
+        sim.run();
+        EXPECT_EQ(done_at, (std::array<Tick, 3>{usecs(10), usecs(30),
+                                                usecs(15)}));
+        EXPECT_EQ(pool.completedCount(), 3u);
+        ++orders;
+    } while (std::next_permutation(keys.begin(), keys.end()));
+    EXPECT_EQ(orders, 6);
+}
+
+TEST(ServerPool, ZeroServiceJobIsDisplaceable)
+{
+    // A zero-service job completes in the final band, so a same-tick
+    // job with a smaller key — even one submitted by a later
+    // zero-delay event — still takes the server first.
+    Simulation sim;
+    ServerPool pool(sim.queue(), 1);
+    std::vector<std::pair<uint64_t, Tick>> done_at;
+    pool.submit(0, [&] { done_at.emplace_back(5, sim.now()); }, 5);
+    sim.queue().schedule(0, [&] {
+        pool.submit(
+            usecs(10), [&] { done_at.emplace_back(1, sim.now()); }, 1);
+    });
+    sim.run();
+    EXPECT_EQ(done_at, (std::vector<std::pair<uint64_t, Tick>>{
+                           {1, usecs(10)}, {5, usecs(10)}}));
+    EXPECT_EQ(pool.completedCount(), 2u);
 }
 
 TEST(ServerPool, ResetStatsClearsWindow)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include "osmodel/cpu_pool.hh"
@@ -58,6 +60,104 @@ TEST_F(SimLockTest, UncontendedPairCostsOpsPlusHold)
     EXPECT_EQ(pool_.busyTime(CpuCat::Lock),
               costs_.lock_acquire + costs_.lock_release);
     EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), costs_.lock_hold);
+}
+
+TEST_F(SimLockTest, UncontendedPairFiresTwoEvents)
+{
+    // The grant is decided on arrival: the acquire op and the batch
+    // completion are the only events of an uncontended pair.
+    uint64_t events = 0;
+    sim::spawn([](CpuPool &p, SimLock &l, sim::Simulation &s,
+                  uint64_t &out) -> Task<> {
+        CpuLease lease = co_await p.acquire();
+        const uint64_t before = s.queue().firedCount();
+        co_await l.syncPair(lease, CpuCat::Dsa);
+        out = s.queue().firedCount() - before;
+        p.release();
+    }(pool_, lock_, sim_, events));
+    sim_.run();
+    EXPECT_EQ(events, 2u);
+}
+
+TEST_F(SimLockTest, SameTickFreeAndArrivalsAreOrderInvariant)
+{
+    // The lock frees on the very tick two new contenders B and C
+    // arrive. Under tie-shuffle the completion fires before, between
+    // or after their arrivals; B and C must form one batch either way.
+    // With no waiter that batch starts at the free tick. With a waiter
+    // D that arrived mid-hold, D's batch is served at the free tick
+    // and B and C queue behind it as their own batch. Zero-cost
+    // acquire ops make each arrival its own shuffled wake-up event.
+    HostCosts costs = costs_;
+    costs.lock_acquire = 0;
+    const Tick release = costs.lock_release;
+    const Tick free_at = usecs(2) + release;
+    struct Contender
+    {
+        Tick hold;
+        Tick wake;
+    };
+    struct Outcome
+    {
+        std::vector<Tick> exits;
+        uint64_t contended;
+        size_t free_position; ///< completion's place among 3 events
+    };
+    auto measure = [&](const std::vector<Contender> &contenders,
+                       uint64_t tie_seed) {
+        sim::Simulation s;
+        s.queue().setTieShuffle(tie_seed);
+        CpuPool pool(s, 8, "cpu");
+        SimLock lock(s, costs, "shuffled");
+        std::vector<Tick> exits(contenders.size(), -1);
+        std::vector<int> fired; // A's exit and B's, C's arrivals
+        for (size_t id = 0; id < contenders.size(); ++id) {
+            sim::spawn([](sim::Simulation &ss, CpuPool &p, SimLock &l,
+                          std::vector<Tick> &when, std::vector<int> &log,
+                          int me, Contender c, Tick free) -> Task<> {
+                CpuLease lease = co_await p.acquire();
+                co_await ss.sleep(c.wake);
+                if (c.wake == free)
+                    log.push_back(me);
+                co_await l.syncPair(lease, CpuCat::Dsa, c.hold);
+                if (me == 0)
+                    log.push_back(me);
+                when[static_cast<size_t>(me)] = ss.now();
+                p.release();
+            }(s, pool, lock, exits, fired, static_cast<int>(id),
+              contenders[id], free_at));
+        }
+        s.run();
+        const auto pos = std::find(fired.begin(), fired.end(), 0);
+        return Outcome{exits, lock.contendedCount(),
+                       static_cast<size_t>(pos - fired.begin())};
+    };
+    const std::vector<Contender> abc = {
+        {usecs(2), 0}, {usecs(3), free_at}, {usecs(4), free_at}};
+    std::vector<Contender> abcd = abc;
+    abcd.push_back({usecs(1), usecs(1)});
+    const Tick d_exit = free_at + usecs(1) + release;
+    const Tick bc_hold = usecs(7) + 2 * release;
+    const struct
+    {
+        std::vector<Contender> contenders;
+        std::vector<Tick> exits;
+        uint64_t contended;
+    } cases[] = {
+        {abc, {free_at, free_at + bc_hold, free_at + bc_hold}, 2},
+        {abcd, {free_at, d_exit + bc_hold, d_exit + bc_hold, d_exit}, 3},
+    };
+    for (const auto &c : cases) {
+        std::set<size_t> positions;
+        for (uint64_t seed = 1; seed <= 24; ++seed) {
+            const Outcome o = measure(c.contenders, seed);
+            EXPECT_EQ(o.exits, c.exits) << "tie seed " << seed;
+            EXPECT_EQ(o.contended, c.contended) << "tie seed " << seed;
+            positions.insert(o.free_position);
+        }
+        // The seeds cover the completion before, between and after.
+        EXPECT_EQ(positions, (std::set<size_t>{0, 1, 2}));
+    }
 }
 
 TEST_F(SimLockTest, SameTickContendersShareOneBatch)

@@ -28,7 +28,7 @@ class VolumeTest : public ::testing::Test
         for (int i = 0; i < 4; ++i) {
             disks_.push_back(std::make_unique<Disk>(
                 sim_, DiskSpec::scsi10k(), sim_.forkRng(),
-                "d" + std::to_string(i)));
+                std::string("d").append(std::to_string(i))));
             single_.push_back(
                 std::make_unique<SingleDiskVolume>(*disks_.back()));
         }
