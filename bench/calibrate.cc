@@ -18,9 +18,12 @@ using namespace v3sim::scenarios;
 namespace
 {
 
-void
+/** @return false if any configuration's node-to-node residual is
+ *  negative (the Figure 4 breakdown does not add up). */
+bool
 microSection()
 {
+    bool residuals_ok = true;
     std::printf("== Raw VI latency (paper: 64B one-way ~7us; "
                 "8K RTT ~0.09-0.13ms) ==\n");
     for (const uint64_t size : {512ull, 2048ull, 8192ull, 16384ull}) {
@@ -44,6 +47,14 @@ microSection()
                 backendName(backend),
                 static_cast<unsigned long long>(size), r.mean_us,
                 r.cpu_overhead_us, r.server_us, r.wireUs());
+            if (r.wireUs() < 0) {
+                std::fprintf(stderr,
+                             "calibrate: %s %llu B: negative "
+                             "node-to-node residual\n",
+                             backendName(backend),
+                             static_cast<unsigned long long>(size));
+                residuals_ok = false;
+            }
         }
     }
 
@@ -77,6 +88,7 @@ microSection()
                     rv.mean_us / 1e3, rl.mean_us / 1e3,
                     (rv.mean_us / rl.mean_us - 1) * 100);
     }
+    return residuals_ok;
 }
 
 void
@@ -125,9 +137,9 @@ int
 main(int argc, char **argv)
 {
     const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
-    microSection();
+    const bool residuals_ok = microSection();
     tpccSection(Platform::MidSize, "mid-size (4 CPU)");
     if (!quick)
         tpccSection(Platform::Large, "large (32 CPU)");
-    return 0;
+    return residuals_ok ? 0 : 1;
 }

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     util::TextTable table({"config", "total", "cpu", "node-to-node",
                            "server", "server%"});
 
+    bool residuals_ok = true;
     for (const uint64_t size : {2048ull, 8192ull}) {
         for (const Backend backend :
              {Backend::Kdsa, Backend::Wdsa, Backend::Cdsa}) {
@@ -39,6 +40,13 @@ main(int argc, char **argv)
             std::snprintf(label, sizeof(label), "%s @ %s",
                           backendName(backend),
                           util::formatSize(size).c_str());
+            if (r.wireUs() < 0) {
+                std::fprintf(stderr,
+                             "fig04: %s: negative node-to-node "
+                             "residual %.3f us\n",
+                             label, r.wireUs());
+                residuals_ok = false;
+            }
             table.addRow(
                 {label, util::TextTable::num(r.mean_us / 1e3, 3),
                  util::TextTable::num(r.cpu_overhead_us / 1e3, 3),
@@ -65,5 +73,5 @@ main(int argc, char **argv)
                 "at 8K; wDSA CPU ~3x cDSA; cDSA lowest CPU\n");
     reporter.note("anchors", "server ~20% of total at 2K, ~9% at 8K; "
                              "wDSA CPU ~3x cDSA; cDSA lowest CPU");
-    return reporter.write() ? 0 : 1;
+    return reporter.write() && residuals_ok ? 0 : 1;
 }

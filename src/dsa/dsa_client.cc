@@ -584,13 +584,13 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
     const DsaClientCosts &costs = config_.costs;
     const uint64_t pages = sim::pageSpan(io.buffer, io.msg.len);
 
-    co_await lease.run(costs.request_build, CpuCat::Dsa);
+    // Adjacent same-category charges run as one (one event, same
+    // per-category time at any window boundary).
+    sim::Tick build = costs.request_build;
     // Write payloads are digested before staging (charged whether or
     // not real bytes back the buffer; see dsa::payloadDigest).
-    if (io.msg.op == DsaOp::Write) {
-        co_await lease.run(digestTicks(io.msg.len, costs.digest_per_kb),
-                           CpuCat::Dsa);
-    }
+    if (io.msg.op == DsaOp::Write)
+        build += digestTicks(io.msg.len, costs.digest_per_kb);
 
     switch (impl_) {
       case DsaImpl::Kdsa:
@@ -598,6 +598,7 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
         // (syscall, IRP, probe-and-lock, two sync pairs), then any
         // stacked driver layers (class/miniport), then the thin
         // kDSA driver itself.
+        co_await lease.run(build, CpuCat::Dsa);
         co_await node_.ioManager().issueRequest(lease, pages,
                                                 /*pin_buffer=*/true);
         for (int layer = 0; layer < config_.kdsa_extra_layers;
@@ -612,10 +613,10 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
       case DsaImpl::Wdsa:
         // kernel32.dll replacement: no kernel on the issue side, but
         // heavy Win32-semantics emulation.
-        co_await lease.run(costs.wdsa_issue, CpuCat::Dsa);
+        co_await lease.run(build + costs.wdsa_issue, CpuCat::Dsa);
         break;
       case DsaImpl::Cdsa:
-        co_await lease.run(costs.cdsa_issue, CpuCat::Dsa);
+        co_await lease.run(build + costs.cdsa_issue, CpuCat::Dsa);
         break;
     }
 
@@ -636,16 +637,16 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
     co_await vi_send_lock_.syncPair(lease, CpuCat::Vi);
     co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi);
 
-    // kDSA posts from kernel context through the kernel VI provider.
-    if (impl_ == DsaImpl::Kdsa) {
-        co_await lease.run(nic_.costs().kernel_transition, CpuCat::Vi);
-    }
-    if (io.msg.op == DsaOp::Write) {
-        // Stage the payload into the server's granted slot first;
-        // in-order delivery puts it there before the request lands.
-        co_await lease.run(nic_.costs().doorbell, CpuCat::Vi);
-    }
-    co_await lease.run(nic_.costs().doorbell, CpuCat::Vi);
+    // The request doorbell; a write stages its payload into the
+    // server's granted slot first (in-order delivery puts it there
+    // before the request lands), and kDSA posts from kernel context
+    // through the kernel VI provider.
+    sim::Tick post = nic_.costs().doorbell;
+    if (io.msg.op == DsaOp::Write)
+        post += nic_.costs().doorbell;
+    if (impl_ == DsaImpl::Kdsa)
+        post += nic_.costs().kernel_transition;
+    co_await lease.run(post, CpuCat::Vi);
     postRequest(io);
 
     // kDSA interrupt batching: while completion interrupts are off,
@@ -1016,13 +1017,12 @@ DsaClient::awaitCompletion(PendingIo &io)
             osmodel::CpuPool::kNormalPriority, io.buffer);
         // Read-payload digest verification (the compare itself runs
         // in the flag observer; its time is charged here, on the
-        // application path, identically for phantom and real runs).
-        if (io.msg.op == DsaOp::Read && io.ok) {
-            co_await lease.run(
-                digestTicks(io.msg.len, config_.costs.digest_per_kb),
-                CpuCat::Dsa);
-        }
-        co_await lease.run(config_.costs.cdsa_complete, CpuCat::Dsa);
+        // application path, identically for phantom and real runs),
+        // then the completion handling, as one charge.
+        sim::Tick complete = config_.costs.cdsa_complete;
+        if (io.msg.op == DsaOp::Read && io.ok)
+            complete += digestTicks(io.msg.len, config_.costs.digest_per_kb);
+        co_await lease.run(complete, CpuCat::Dsa);
         for (int i = 0; i < ownSyncPairs(); ++i)
             co_await own_lock_.syncPair(lease, CpuCat::Dsa);
         if (!config_.opts.reduced_sync) {

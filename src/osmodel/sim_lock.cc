@@ -18,22 +18,21 @@ SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
     if (hold < 0)
         hold = costs_.lock_hold;
 
-    // The acquire atomic op always costs, contended or not.
-    co_await lease.run(costs_.lock_acquire, CpuCat::Lock);
-
     acquisitions_.increment();
-    const sim::Tick start = sim_.now();
-    // The stay is an open busy interval on our still-held CPU, so a
-    // measurement-window reset mid-stay clips it correctly instead of
-    // attributing the whole stay to whichever window it ends in.
-    CpuPool::Run *stay = lease.pool()->beginRun(CpuCat::Lock);
+    // The acquire atomic op always costs, contended or not; the lock
+    // is reached when it ends.
+    const sim::Tick arrival = sim_.now() + costs_.lock_acquire;
+    // One open busy interval on our still-held CPU covers the acquire
+    // op, the spin, the critical section and the release op, so a
+    // measurement-window reset anywhere inside clips it correctly.
+    CpuPool::Run *run = lease.pool()->beginRun(CpuCat::Lock);
 
-    // Park in this tick's batch and resume when that batch's turn
-    // completes. Local awaiter: it has access to the enclosing
-    // class's private members.
+    // Park in our batch and resume when it completes. Local awaiter:
+    // it has access to the enclosing class's private members.
     struct BatchJoin
     {
         SimLock *lock;
+        sim::Tick arrival;
         sim::Tick hold;
 
         bool await_ready() const { return false; }
@@ -41,22 +40,23 @@ SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
         void
         await_suspend(std::coroutine_handle<> h) const
         {
-            lock->join(h, hold);
+            lock->join(h, arrival, hold);
         }
 
         void await_resume() const {}
     };
-    co_await BatchJoin{this, hold};
+    co_await BatchJoin{this, arrival, hold};
 
-    // The whole stay — spin + critical section + release op — just
-    // elapsed on our (still-held) CPU. Close the interval (charged to
-    // Lock, clipped to the current window) and re-attribute the
-    // critical section to the caller's category. Spin time beyond the
-    // member's own hold+release means the batch had company (or
-    // queued behind another batch).
-    const sim::Tick elapsed = sim_.now() - start;
-    const sim::Tick spin = elapsed - hold - costs_.lock_release;
-    const sim::Tick charged = lease.pool()->endRun(stay);
+    // Close the interval (charged to Lock, clipped to the current
+    // window) and re-attribute the critical section to the caller's
+    // category. A window reset clips the acquire op before the stay,
+    // and the stay is at least hold + release, so min(hold, charged)
+    // is the critical section's share of the clipped stay. Spin time
+    // beyond the member's own hold+release means the batch had
+    // company (or queued behind another batch).
+    const sim::Tick spin =
+        sim_.now() - arrival - hold - costs_.lock_release;
+    const sim::Tick charged = lease.pool()->endRun(run);
     const sim::Tick hold_part = std::min(hold, charged);
     lease.pool()->addBusy(hold_cat, hold_part);
     lease.pool()->addBusy(CpuCat::Lock, -hold_part);
@@ -67,55 +67,34 @@ SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
 }
 
 void
-SimLock::join(std::coroutine_handle<> member, sim::Tick hold)
+SimLock::join(std::coroutine_handle<> member, sim::Tick arrival,
+              sim::Tick hold)
 {
-    const sim::Tick now = sim_.now();
-    if (!busy_) {
-        // A free lock has no waiters: open a batch and grant it now.
-        serve(Batch{now, hold, {member}});
-        return;
+    // The closed form below relies on arrivals in call order.
+    assert(batches_.empty() || arrival >= batches_.back().arrival);
+    const sim::Tick stay = hold + costs_.lock_release;
+    if (!batches_.empty() && batches_.back().arrival == arrival) {
+        // The batch serializes inside the lock but exits as one: its
+        // end is a function of the batch *set*, with no per-member
+        // assignment an arrival order could perturb.
+        Batch &tail = batches_.back();
+        tail.end += stay;
+        tail.members.push_back(member);
+    } else {
+        const sim::Tick start = std::max(arrival, free_at_);
+        batches_.push_back(Batch{arrival, start + stay, {member}});
+        armCompletion(start + stay);
     }
-    // A batch that arrived this tick is still open to the tick's
-    // other contenders, serving or not; its end moves out with each.
-    Batch *batch = &serving_;
-    if (serving_.arrived != now) {
-        if (waiting_.empty() || waiting_.back().arrived != now)
-            waiting_.push_back(Batch{now, 0, {}});
-        batch = &waiting_.back();
-    }
-    batch->total_hold += hold;
-    batch->members.push_back(member);
+    free_at_ = batches_.back().end;
 }
 
 void
-SimLock::serve(Batch batch)
+SimLock::armCompletion(sim::Tick end)
 {
-    busy_ = true;
-    serving_ = std::move(batch);
-    serving_start_ = sim_.now();
-    armCompletion();
-}
-
-sim::Tick
-SimLock::servingEnd() const
-{
-    // The batch serializes inside the lock — the sum of the members'
-    // critical sections plus one release op each — but exits as one:
-    // per-member exit times are a function of the batch *set*, with
-    // no per-member assignment an arrival order could perturb.
-    return serving_start_ + serving_.total_hold +
-           static_cast<sim::Tick>(serving_.members.size()) *
-               costs_.lock_release;
-}
-
-void
-SimLock::armCompletion()
-{
-    const sim::Tick delay = servingEnd() - sim_.now();
-    // A zero-length batch completes in the final band, so it stays
+    // A batch that ends now completes in the final band, so it stays
     // open to every same-tick contender (DESIGN.md §8.3).
-    if (delay > 0)
-        sim_.queue().schedule(delay, [this] { onComplete(); });
+    if (end > sim_.now())
+        sim_.queue().scheduleAt(end, [this] { onComplete(); });
     else
         sim_.queue().scheduleFinal([this] { onComplete(); });
 }
@@ -123,21 +102,17 @@ SimLock::armCompletion()
 void
 SimLock::onComplete()
 {
-    // Same-tick joiners moved the end out after this event was armed.
-    if (sim_.now() < servingEnd()) {
-        armCompletion();
+    // Completions fire in FIFO order whichever batch's event this is;
+    // same-tick joiners may have moved the front's end out after its
+    // event was armed.
+    Batch &front = batches_.front();
+    if (sim_.now() < front.end) {
+        armCompletion(front.end);
         return;
     }
     const std::vector<std::coroutine_handle<>> members =
-        std::move(serving_.members);
-    busy_ = false;
-    if (!waiting_.empty()) {
-        // The front batch's membership is fixed unless it arrived this
-        // tick, in which case it keeps absorbing same-tick joiners.
-        Batch next = std::move(waiting_.front());
-        waiting_.pop_front();
-        serve(std::move(next));
-    }
+        std::move(front.members);
+    batches_.pop_front();
     for (const auto &member : members)
         member.resume();
 }

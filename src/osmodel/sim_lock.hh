@@ -19,16 +19,19 @@
  * order. Same-tick contenders form one *batch* that occupies the lock
  * for the sum of its members' critical sections (plus one release op
  * each), and all members exit together when the batch completes.
- * The grant is decided on arrival: a contender that finds the lock
- * free opens a batch and arms its completion at once, and later
- * same-tick contenders join it while its arrival tick is still now,
- * moving its end out (a completion that fires early re-arms at the
- * true end). Members stay suspended until completion, so nothing
- * observes the provisional grant, and every observable — exit times,
- * spin accounting, contention counts — is a function of the batch
- * *set*, invariant under the tie-shuffle seed. Contenders arriving
- * on distinct ticks keep strict FIFO order, and an uncontended pair
- * costs exactly acquire + hold + release in two events.
+ * Every contender pays the same acquire op, so a contender arrives at
+ * the lock a fixed time after it calls and arrivals come in call
+ * order: the lock places each contender at call time, in a FIFO of
+ * batches whose starts and ends are closed-form (a batch starts when
+ * both its arrival tick and the lock's free tick are reached). A
+ * batch arms its completion when it is created; later contenders of
+ * the same call tick join it, moving its end out (a completion that
+ * fires early re-arms at the true end). Members stay suspended until
+ * completion, so every observable — exit times, spin accounting,
+ * contention counts — is a function of the batch *set*, invariant
+ * under the tie-shuffle seed. Contenders arriving on distinct ticks
+ * keep strict FIFO order, and an uncontended pair costs exactly
+ * acquire + hold + release in one event.
  */
 
 #ifndef V3SIM_OSMODEL_SIM_LOCK_HH
@@ -72,7 +75,6 @@ class SimLock
     sim::Task<> syncPair(CpuLease lease, CpuCat hold_cat,
                          sim::Tick hold = -1);
 
-    bool held() const { return busy_; }
     uint64_t acquisitionCount() const { return acquisitions_.value(); }
 
     /** Acquisitions that spun (exited later than an uncontended pair
@@ -83,32 +85,27 @@ class SimLock
     sim::Tick totalWait() const { return total_wait_; }
 
   private:
-    /** Same-tick contenders, granted and released as one unit. */
+    /** Same-tick arrivals, granted and released as one unit. */
     struct Batch
     {
-        sim::Tick arrived;
-        sim::Tick total_hold = 0;
+        sim::Tick arrival;
+        sim::Tick end; ///< start + Σhold + n·release
         std::vector<std::coroutine_handle<>> members;
     };
 
-    /** Adds a contender that arrived now to its batch: the serving
-     *  batch if it arrived this tick, a waiting batch if the lock is
-     *  held, or a new serving batch if the lock is free. */
-    void join(std::coroutine_handle<> member, sim::Tick hold);
-    /** Starts @p batch on the lock now and arms its completion. */
-    void serve(Batch batch);
-    /** Tick the serving batch releases the lock. */
-    sim::Tick servingEnd() const;
-    void armCompletion();
+    /** Places a contender arriving at @p arrival: in the tail batch
+     *  if that batch arrives on the same tick, else in a new batch. */
+    void join(std::coroutine_handle<> member, sim::Tick arrival,
+              sim::Tick hold);
+    void armCompletion(sim::Tick end);
+    /** Completes the front batch, or re-arms at its moved-out end. */
     void onComplete();
 
     sim::Simulation &sim_;
     const HostCosts &costs_;
     std::string name_;
-    bool busy_ = false; ///< a batch currently owns the lock
-    Batch serving_{};
-    sim::Tick serving_start_ = 0;
-    std::deque<Batch> waiting_;
+    std::deque<Batch> batches_; ///< not yet completed, in FIFO order
+    sim::Tick free_at_ = 0;     ///< end of the last batch placed
     sim::Counter acquisitions_;
     sim::Counter contended_;
     sim::Tick total_wait_ = 0;

@@ -75,11 +75,13 @@ class MicroRig
         double p95_us = 0;
         double p99_us = 0;
         /** @} */
-        /** mean - cpu - server: wire, NIC, and DMA time. */
+        /** mean - cpu - server: wire, NIC, and DMA time. Not
+         *  clamped: a negative residual means the breakdown does not
+         *  add up, and the benches that report it fail on it. */
         double
         wireUs() const
         {
-            return std::max(0.0, mean_us - cpu_overhead_us - server_us);
+            return mean_us - cpu_overhead_us - server_us;
         }
     };
 

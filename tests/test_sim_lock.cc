@@ -1,14 +1,16 @@
 /**
  * @file
- * Unit tests for SimLock: sync-pair costs, batch handoff, spin-time
- * accounting, emergent contention, and tie-shuffle invariance of the
- * same-tick arbitration (DESIGN.md §8.3).
+ * Unit tests for SimLock: sync-pair costs, closed-form batch FIFO,
+ * spin-time and window-reset accounting, emergent contention, and
+ * tie-shuffle invariance of the same-tick arbitration (DESIGN.md
+ * §8.3).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "osmodel/cpu_pool.hh"
@@ -24,6 +26,20 @@ namespace
 using sim::Task;
 using sim::Tick;
 using sim::usecs;
+
+/** One Dsa sync pair holding @p hold, called at tick @p call on a CPU
+ *  leased at tick 0; stores the exit tick in @p exit if given. */
+Task<>
+timedPair(sim::Simulation &s, CpuPool &p, SimLock &l, Tick call,
+          Tick hold, Tick *exit = nullptr)
+{
+    CpuLease lease = co_await p.acquire();
+    co_await s.sleep(call);
+    co_await l.syncPair(lease, CpuCat::Dsa, hold);
+    if (exit != nullptr)
+        *exit = s.now();
+    p.release();
+}
 
 class SimLockTest : public ::testing::Test
 {
@@ -62,10 +78,10 @@ TEST_F(SimLockTest, UncontendedPairCostsOpsPlusHold)
     EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), costs_.lock_hold);
 }
 
-TEST_F(SimLockTest, UncontendedPairFiresTwoEvents)
+TEST_F(SimLockTest, UncontendedPairFiresOneEvent)
 {
-    // The grant is decided on arrival: the acquire op and the batch
-    // completion are the only events of an uncontended pair.
+    // The contender is placed at call time: the batch completion is
+    // the only event of an uncontended pair.
     uint64_t events = 0;
     sim::spawn([](CpuPool &p, SimLock &l, sim::Simulation &s,
                   uint64_t &out) -> Task<> {
@@ -76,7 +92,129 @@ TEST_F(SimLockTest, UncontendedPairFiresTwoEvents)
         p.release();
     }(pool_, lock_, sim_, events));
     sim_.run();
-    EXPECT_EQ(events, 2u);
+    EXPECT_EQ(events, 1u);
+}
+
+TEST_F(SimLockTest, OverlappingContendersFollowClosedFormFifo)
+{
+    // Three contenders call 1 us apart, each while the lock is held,
+    // and each pays the acquire op before reaching the lock. Each
+    // batch starts when the previous one ends: the exits are the
+    // running sums of hold + release from the first arrival.
+    ASSERT_GT(costs_.lock_acquire, 0);
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    std::vector<Tick> exits(3, -1);
+    sim::spawn(timedPair(sim_, pool_, lock_, 0, usecs(10), &exits[0]));
+    sim::spawn(timedPair(sim_, pool_, lock_, usecs(1), usecs(3),
+                         &exits[1]));
+    sim::spawn(timedPair(sim_, pool_, lock_, usecs(2), usecs(5),
+                         &exits[2]));
+    sim_.run();
+    const Tick a_exit = acquire + usecs(10) + release;
+    const Tick b_exit = a_exit + usecs(3) + release;
+    const Tick c_exit = b_exit + usecs(5) + release;
+    EXPECT_EQ(exits, (std::vector<Tick>{a_exit, b_exit, c_exit}));
+    EXPECT_EQ(lock_.contendedCount(), 2u);
+    EXPECT_EQ(lock_.totalWait(), (a_exit - (usecs(1) + acquire)) +
+                                     (b_exit - (usecs(2) + acquire)));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), usecs(18));
+}
+
+TEST_F(SimLockTest, SameTickCallersWithAcquireOpAreOrderInvariant)
+{
+    // Four contenders call on one tick (independent sleeps, so the
+    // tie-shuffle permutes their calls) while D, which called 1 us
+    // earlier, holds the lock. They form one batch that starts when
+    // D's ends; exits and contention must not depend on the seed.
+    ASSERT_GT(costs_.lock_acquire, 0);
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    const Tick call = usecs(5);
+    auto measure = [&](uint64_t tie_seed) {
+        sim::Simulation s;
+        s.queue().setTieShuffle(tie_seed);
+        CpuPool pool(s, 8, "cpu");
+        SimLock lock(s, costs_, "shuffled");
+        std::vector<Tick> exits(5, -1);
+        for (int i = 0; i < 4; ++i) {
+            sim::spawn(timedPair(s, pool, lock, call, usecs(1) * (i + 1),
+                                 &exits[static_cast<size_t>(i)]));
+        }
+        sim::spawn(timedPair(s, pool, lock, call - usecs(1), usecs(3),
+                             &exits[4]));
+        s.run();
+        return std::make_pair(exits, lock.contendedCount());
+    };
+    const Tick d_exit = call - usecs(1) + acquire + usecs(3) + release;
+    const Tick batch_exit = d_exit + usecs(10) + 4 * release;
+    const std::vector<Tick> expected = {batch_exit, batch_exit,
+                                        batch_exit, batch_exit, d_exit};
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        const auto [exits, contended] = measure(seed);
+        EXPECT_EQ(exits, expected) << "tie seed " << seed;
+        EXPECT_EQ(contended, 4u) << "tie seed " << seed;
+    }
+}
+
+TEST_F(SimLockTest, WindowResetInsideAcquireOpClipsOnlyTheLockOps)
+{
+    // A holds the lock for 10 us; B calls at 5 us and the window is
+    // reset halfway through B's acquire op. What is left of A's pair
+    // lies inside its critical section, so all of it is Dsa. B's half
+    // acquire op, spin and release op count to Lock, its hold to Dsa.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    ASSERT_GT(acquire, 1);
+    const Tick reset = usecs(5) + acquire / 2;
+    sim::spawn(timedPair(sim_, pool_, lock_, 0, usecs(10)));
+    sim::spawn(timedPair(sim_, pool_, lock_, usecs(5), usecs(4)));
+    sim_.queue().schedule(reset, [this] { pool_.resetStats(); });
+    sim_.run();
+    const Tick a_exit = acquire + usecs(10) + release;
+    const Tick b_exit = a_exit + usecs(4) + release;
+    const Tick b_lock = (acquire - acquire / 2) +
+                        (b_exit - (usecs(5) + acquire)) - usecs(4);
+    EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), (a_exit - reset) + usecs(4));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Lock), b_lock);
+}
+
+TEST_F(SimLockTest, WindowResetInsideStayClipsHoldLast)
+{
+    // A holds 10 us; B calls at 1 us and spins behind A. The window
+    // resets at 8 us: inside A's critical section and B's spin.
+    // What remains of each charge goes to the critical section first.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    const Tick reset = usecs(8);
+    sim::spawn(timedPair(sim_, pool_, lock_, 0, usecs(10)));
+    sim::spawn(timedPair(sim_, pool_, lock_, usecs(1), usecs(6)));
+    sim_.queue().schedule(reset, [this] { pool_.resetStats(); });
+    sim_.run();
+    const Tick a_exit = acquire + usecs(10) + release;
+    const Tick b_exit = a_exit + usecs(6) + release;
+    ASSERT_LT(a_exit - reset, usecs(10));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), (a_exit - reset) + usecs(6));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Lock),
+              (b_exit - reset) - usecs(6));
+}
+
+TEST_F(SimLockTest, ArrivalAtTailBatchEndStartsWithoutSpin)
+{
+    // B's acquire op ends exactly when A's batch does: B starts on
+    // that tick without spinning, in a batch of its own.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    const Tick a_exit = acquire + usecs(2) + release;
+    std::vector<Tick> exits(2, -1);
+    sim::spawn(timedPair(sim_, pool_, lock_, 0, usecs(2), &exits[0]));
+    sim::spawn(timedPair(sim_, pool_, lock_, a_exit - acquire, usecs(3),
+                         &exits[1]));
+    sim_.run();
+    EXPECT_EQ(exits,
+              (std::vector<Tick>{a_exit, a_exit + usecs(3) + release}));
+    EXPECT_EQ(lock_.contendedCount(), 0u);
+    EXPECT_EQ(lock_.totalWait(), 0);
 }
 
 TEST_F(SimLockTest, SameTickFreeAndArrivalsAreOrderInvariant)
