@@ -3,7 +3,7 @@
  * Simulator self-timing: how fast is the event loop itself?
  *
  * Every other bench measures the *modeled* system; this one measures
- * the harness. It times three fixed-seed profiles and reports raw
+ * the harness. It times four fixed-seed profiles and reports raw
  * events/sec and wall-seconds per simulated-second, so simulator
  * performance becomes a tracked BENCH_selftime.json trajectory
  * instead of folklore (ROADMAP: "Simulator speed overhaul for
@@ -18,6 +18,8 @@
  *  - fig10: the full-scale large-configuration TPC-C run (cDSA),
  *    the heaviest workload in the figure set.
  *  - fig13: the mid-size TPC-C run (cDSA).
+ *  - fig10_kdsa: the large TPC-C run on kDSA, whose I/Os also go
+ *    through the kernel I/O manager's sync pairs.
  *
  * Wall-clock use is the whole point here, so the determinism rule is
  * waived file-wide (the *simulated* results of the profiles stay
@@ -126,11 +128,11 @@ runCore(uint64_t target_events)
 }
 
 ProfileResult
-runTpccProfile(Platform platform, bool quick)
+runTpccProfile(Platform platform, Backend backend, bool quick)
 {
     TpccRunConfig config;
     config.platform = platform;
-    config.backend = Backend::Cdsa;
+    config.backend = backend;
     config.seed = 1;
     if (quick) {
         config.warmup = sim::msecs(60);
@@ -168,9 +170,12 @@ main(int argc, char **argv)
         reporter.quick() ? 200 * 1000 : 8 * 1000 * 1000;
     Row rows[] = {
         {"core", runCore(core_events)},
-        {"fig10", runTpccProfile(Platform::Large, reporter.quick())},
-        {"fig13", runTpccProfile(Platform::MidSize,
+        {"fig10", runTpccProfile(Platform::Large, Backend::Cdsa,
                                  reporter.quick())},
+        {"fig13", runTpccProfile(Platform::MidSize, Backend::Cdsa,
+                                 reporter.quick())},
+        {"fig10_kdsa", runTpccProfile(Platform::Large, Backend::Kdsa,
+                                      reporter.quick())},
     };
 
     for (const Row &row : rows) {
@@ -196,6 +201,7 @@ main(int argc, char **argv)
     table.print();
     reporter.note("workloads",
                   "core=synthetic event churn; fig10/fig13 = "
-                  "cDSA TPC-C profiles at seed 1");
+                  "cDSA TPC-C profiles at seed 1; fig10_kdsa = the "
+                  "fig10 profile on kDSA");
     return reporter.write() ? 0 : 1;
 }

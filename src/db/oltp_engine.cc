@@ -91,24 +91,34 @@ OltpEngine::worker(int id)
             {
                 CpuLease lease = co_await node_.cpus().acquire(
                     osmodel::CpuPool::kNormalPriority, wkey);
-                co_await lease.run(config_.io_kernel_overhead,
-                                   CpuCat::Kernel);
-                co_await lease.run(config_.io_other_overhead,
-                                   CpuCat::Other);
-                for (int p = 0; p < config_.io_latch_pairs; ++p) {
+                // The overheads ride the first and last latch pairs.
+                osmodel::Charges lead;
+                lead.add(config_.io_kernel_overhead, CpuCat::Kernel);
+                lead.add(config_.io_other_overhead, CpuCat::Other);
+                osmodel::Charge wait{config_.blocking_overhead,
+                                     CpuCat::Kernel};
+                if (config_.polling_completion)
+                    wait = {config_.polling_overhead, CpuCat::Dsa};
+                const osmodel::Charge none;
+                const int pairs = config_.io_latch_pairs;
+                for (int p = 0; p < pairs; ++p) {
                     osmodel::SimLock &latch =
                         *latches_[next_latch];
                     next_latch =
                         (next_latch + 1) % latches_.size();
+                    const osmodel::Charge &after =
+                        p + 1 < pairs ? none : wait;
                     co_await latch.syncPair(lease, CpuCat::Lock,
-                                            config_.latch_hold);
+                                            config_.latch_hold, lead,
+                                            after);
+                    lead.count = 0;
                 }
-                if (config_.polling_completion) {
-                    co_await lease.run(config_.polling_overhead,
-                                       CpuCat::Dsa);
-                } else {
-                    co_await lease.run(config_.blocking_overhead,
+                if (pairs == 0) {
+                    co_await lease.run(config_.io_kernel_overhead,
                                        CpuCat::Kernel);
+                    co_await lease.run(config_.io_other_overhead,
+                                       CpuCat::Other);
+                    co_await lease.run(wait.ticks, wait.cat);
                 }
                 node_.cpus().release();
             }

@@ -8,6 +8,8 @@
 namespace v3sim::dsa
 {
 
+using osmodel::Charge;
+using osmodel::Charges;
 using osmodel::CpuCat;
 using osmodel::CpuLease;
 
@@ -584,14 +586,17 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
     const DsaClientCosts &costs = config_.costs;
     const uint64_t pages = sim::pageSpan(io.buffer, io.msg.len);
 
-    // Adjacent same-category charges run as one (one event, same
-    // per-category time at any window boundary).
+    // Adjacent same-category charges run as one, and the charges
+    // beside a sync pair ride it (one event, same per-category time
+    // at any instant).
     sim::Tick build = costs.request_build;
     // Write payloads are digested before staging (charged whether or
     // not real bytes back the buffer; see dsa::payloadDigest).
     if (io.msg.op == DsaOp::Write)
         build += digestTicks(io.msg.len, costs.digest_per_kb);
 
+    const Charge none;
+    Charges lead; // rides the next sync pair
     switch (impl_) {
       case DsaImpl::Kdsa:
         // Standard kernel storage API: the I/O manager runs first
@@ -603,20 +608,20 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
                                                 /*pin_buffer=*/true);
         for (int layer = 0; layer < config_.kdsa_extra_layers;
              ++layer) {
-            co_await lease.run(config_.driver_layer_cost,
-                               CpuCat::Kernel);
+            lead.add(config_.driver_layer_cost, CpuCat::Kernel);
             co_await node_.ioManager().dispatchLock().syncPair(
-                lease, CpuCat::Kernel);
+                lease, CpuCat::Kernel, -1, lead, none);
+            lead.count = 0;
         }
-        co_await lease.run(costs.kdsa_issue, CpuCat::Dsa);
+        lead.add(costs.kdsa_issue, CpuCat::Dsa);
         break;
       case DsaImpl::Wdsa:
         // kernel32.dll replacement: no kernel on the issue side, but
         // heavy Win32-semantics emulation.
-        co_await lease.run(build + costs.wdsa_issue, CpuCat::Dsa);
+        lead.add(build + costs.wdsa_issue, CpuCat::Dsa);
         break;
       case DsaImpl::Cdsa:
-        co_await lease.run(build + costs.cdsa_issue, CpuCat::Dsa);
+        lead.add(build + costs.cdsa_issue, CpuCat::Dsa);
         break;
     }
 
@@ -624,29 +629,32 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
         const sim::Tick hold =
             impl_ == DsaImpl::Wdsa ? costs.wdsa_lock_hold
                                    : sim::Tick{-1};
-        for (int i = 0; i < ownSyncPairs(); ++i)
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa, hold);
+        for (int i = 0; i < ownSyncPairs(); ++i) {
+            co_await own_lock_.syncPair(lease, CpuCat::Dsa, hold, lead,
+                                        none);
+            lead.count = 0;
+        }
     }
 
     // Register the I/O buffer (dynamic, per section 3.1).
     auto reg = reg_cache_->acquire(io.buffer, io.msg.len);
     if (reg.has_value()) {
         io.handle = reg->handle;
-        co_await lease.run(reg->cost, CpuCat::Vi);
+        lead.add(reg->cost, CpuCat::Vi);
     }
-    co_await vi_send_lock_.syncPair(lease, CpuCat::Vi);
-    co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi);
+    co_await vi_send_lock_.syncPair(lease, CpuCat::Vi, -1, lead, none);
+    lead.count = 0;
 
     // The request doorbell; a write stages its payload into the
     // server's granted slot first (in-order delivery puts it there
     // before the request lands), and kDSA posts from kernel context
     // through the kernel VI provider.
-    sim::Tick post = nic_.costs().doorbell;
+    Charge post{nic_.costs().doorbell, CpuCat::Vi};
     if (io.msg.op == DsaOp::Write)
-        post += nic_.costs().doorbell;
+        post.ticks += nic_.costs().doorbell;
     if (impl_ == DsaImpl::Kdsa)
-        post += nic_.costs().kernel_transition;
-    co_await lease.run(post, CpuCat::Vi);
+        post.ticks += nic_.costs().kernel_transition;
+    co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi, -1, lead, post);
     postRequest(io);
 
     // kDSA interrupt batching: while completion interrupts are off,
@@ -807,40 +815,41 @@ DsaClient::drainRecvCq(CpuLease lease, bool interrupt_context)
 }
 
 sim::Task<>
-DsaClient::deregisterBuffer(CpuLease &lease, PendingIo &io)
+DsaClient::releaseBuffer(CpuLease &lease, PendingIo &io, Charge after)
 {
-    if (!io.handle.valid())
-        co_return; // buffer-less request (hint)
-    if (config_.opts.batched_dereg) {
-        // Bookkeeping only until a whole region retires; the
-        // amortized region operation needs no page locking because
-        // the entries' pages were never pinned by the VI layer (or
-        // are unpinned wholesale).
-        co_await lease.run(reg_cache_->release(io.handle),
-                           CpuCat::Vi);
-        co_return;
+    // The deregistration charge rides the next sync pair. A
+    // buffer-less request (hint) has nothing to release.
+    Charges lead;
+    if (io.handle.valid())
+        lead.add(reg_cache_->release(io.handle), CpuCat::Vi);
+    // Batched deregistration is bookkeeping only until a whole region
+    // retires; the amortized region operation needs no page locking
+    // because the entries' pages were never pinned by the VI layer
+    // (or are unpinned wholesale).
+    if (io.handle.valid() && !config_.opts.batched_dereg) {
+        // Per-I/O deregistration: the NIC-table removal (and, for
+        // self-pinned buffers, the unpin) run on this CPU; unwiring
+        // the pages from the NIC's translation serializes on the
+        // host-global memory-manager lock (section 3.1:
+        // "deregistration requires locking pages, which becomes more
+        // expensive at larger processor counts"). At high I/O rates
+        // on many CPUs that lock saturates — the mechanism behind the
+        // batched-deregistration gains of Figures 9/12.
+        const uint64_t pages = sim::pageSpan(io.buffer, io.msg.len);
+        sim::Tick page_lock = static_cast<sim::Tick>(pages) *
+                              node_.costs().probe_lock_page * 3;
+        // Buffers the VI layer pinned itself (wDSA) also unpin their
+        // pages under the same lock.
+        if (!reg_cache_->prePinned()) {
+            page_lock += static_cast<sim::Tick>(pages) *
+                         node_.costs().probe_lock_page;
+        }
+        const Charge none;
+        co_await node_.memoryLock().syncPair(lease, CpuCat::Vi,
+                                             page_lock, lead, none);
+        lead.count = 0;
     }
-    // Per-I/O deregistration: the NIC-table removal (and, for
-    // self-pinned buffers, the unpin) run on this CPU; unwiring the
-    // pages from the NIC's translation serializes on the host-global
-    // memory-manager lock (section 3.1: "deregistration requires
-    // locking pages, which becomes more expensive at larger
-    // processor counts"). At high I/O rates on many CPUs that lock
-    // saturates — the mechanism behind the batched-deregistration
-    // gains of Figures 9/12.
-    const sim::Tick dereg_cost = reg_cache_->release(io.handle);
-    co_await lease.run(dereg_cost, CpuCat::Vi);
-    const uint64_t pages = sim::pageSpan(io.buffer, io.msg.len);
-    sim::Tick page_lock = static_cast<sim::Tick>(pages) *
-                          node_.costs().probe_lock_page * 3;
-    // Buffers the VI layer pinned itself (wDSA) also unpin their
-    // pages under the same lock.
-    if (!reg_cache_->prePinned()) {
-        page_lock += static_cast<sim::Tick>(pages) *
-                     node_.costs().probe_lock_page;
-    }
-    co_await node_.memoryLock().syncPair(lease, CpuCat::Vi,
-                                         page_lock);
+    co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi, -1, lead, after);
 }
 
 sim::Task<>
@@ -895,49 +904,60 @@ DsaClient::completeFromResponse(CpuLease &lease,
     const osmodel::HostCosts &host = node_.costs();
     const uint64_t pages = sim::pageSpan(io->buffer, io->msg.len);
 
+    // The charges beside a sync pair ride it.
+    const Charge none;
+    Charges lead;
     switch (impl_) {
       case DsaImpl::Kdsa:
-        co_await lease.run(costs.kdsa_complete, CpuCat::Dsa);
+        lead.add(costs.kdsa_complete, CpuCat::Dsa);
         // Completions unwind back up through any stacked layers.
         for (int layer = 0; layer < config_.kdsa_extra_layers;
              ++layer) {
-            co_await lease.run(config_.driver_layer_cost,
-                               CpuCat::Kernel);
+            lead.add(config_.driver_layer_cost, CpuCat::Kernel);
             co_await node_.ioManager().dispatchLock().syncPair(
-                lease, CpuCat::Kernel);
+                lease, CpuCat::Kernel, -1, lead, none);
+            lead.count = 0;
         }
-        for (int i = 0; i < ownSyncPairs(); ++i)
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa);
-        co_await deregisterBuffer(lease, *io);
-        co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi);
+        for (int i = 0; i < ownSyncPairs(); ++i) {
+            co_await own_lock_.syncPair(lease, CpuCat::Dsa, -1, lead,
+                                        none);
+            lead.count = 0;
+        }
+        co_await releaseBuffer(lease, *io, none);
         co_await node_.ioManager().completeRequest(
             lease, pages, /*unpin_buffer=*/true);
         break;
-      case DsaImpl::Wdsa:
-        co_await lease.run(costs.wdsa_complete, CpuCat::Dsa);
-        for (int i = 0; i < ownSyncPairs(); ++i)
+      case DsaImpl::Wdsa: {
+        lead.add(costs.wdsa_complete, CpuCat::Dsa);
+        for (int i = 0; i < ownSyncPairs(); ++i) {
             co_await own_lock_.syncPair(lease, CpuCat::Dsa,
-                                        costs.wdsa_lock_hold);
-        co_await deregisterBuffer(lease, *io);
-        co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi);
+                                        costs.wdsa_lock_hold, lead,
+                                        none);
+            lead.count = 0;
+        }
         // Win32 completion: signal the app's event through the
         // kernel and switch to the waiting thread; satisfying
         // kernel32 semantics costs extra system calls (section 2.2:
         // "Support for these mechanisms may involve extra system
         // calls").
-        co_await lease.run(2 * host.syscall, CpuCat::Kernel);
-        co_await lease.run(host.event_signal, CpuCat::Kernel);
-        co_await lease.run(host.context_switch, CpuCat::Kernel);
+        const Charge signal{2 * host.syscall + host.event_signal +
+                                host.context_switch,
+                            CpuCat::Kernel};
+        co_await releaseBuffer(lease, *io, signal);
         break;
-      case DsaImpl::Cdsa:
+      }
+      case DsaImpl::Cdsa: {
         // Message-mode cDSA (interrupt batching disabled).
-        co_await lease.run(costs.cdsa_complete, CpuCat::Dsa);
-        for (int i = 0; i < ownSyncPairs(); ++i)
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa);
-        co_await deregisterBuffer(lease, *io);
-        co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi);
-        co_await lease.run(host.context_switch, CpuCat::Kernel);
+        lead.add(costs.cdsa_complete, CpuCat::Dsa);
+        for (int i = 0; i < ownSyncPairs(); ++i) {
+            co_await own_lock_.syncPair(lease, CpuCat::Dsa, -1, lead,
+                                        none);
+            lead.count = 0;
+        }
+        const Charge wake{host.context_switch, CpuCat::Kernel};
+        co_await releaseBuffer(lease, *io, wake);
         break;
+      }
     }
     if (!config_.opts.reduced_sync && impl_ != DsaImpl::Wdsa) {
         co_await lease.run(node_.costs().sync_restructure,
@@ -1019,18 +1039,23 @@ DsaClient::awaitCompletion(PendingIo &io)
         // in the flag observer; its time is charged here, on the
         // application path, identically for phantom and real runs),
         // then the completion handling, as one charge.
+        // That charge rides the first own-lock pair.
         sim::Tick complete = config_.costs.cdsa_complete;
         if (io.msg.op == DsaOp::Read && io.ok)
             complete += digestTicks(io.msg.len, config_.costs.digest_per_kb);
-        co_await lease.run(complete, CpuCat::Dsa);
-        for (int i = 0; i < ownSyncPairs(); ++i)
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa);
+        const Charge none;
+        Charges lead;
+        lead.add(complete, CpuCat::Dsa);
+        for (int i = 0; i < ownSyncPairs(); ++i) {
+            co_await own_lock_.syncPair(lease, CpuCat::Dsa, -1, lead,
+                                        none);
+            lead.count = 0;
+        }
         if (!config_.opts.reduced_sync) {
             co_await lease.run(node_.costs().sync_restructure,
                                CpuCat::Dsa);
         }
-        co_await deregisterBuffer(lease, io);
-        co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi);
+        co_await releaseBuffer(lease, io, none);
         cpus().release();
     }
     co_return io.ok;

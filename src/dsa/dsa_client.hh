@@ -245,10 +245,12 @@ class DsaClient : public BlockDevice
     sim::Task<> completeFromResponse(osmodel::CpuLease &lease,
                                      const ResponseMsg &response);
 
-    /** Releases the I/O buffer's registration: batched bookkeeping,
-     *  or a per-I/O deregistration under the global memory lock. */
-    sim::Task<> deregisterBuffer(osmodel::CpuLease &lease,
-                                 PendingIo &io);
+    /** Releases the I/O buffer's registration (batched bookkeeping,
+     *  or a per-I/O deregistration under the global memory lock),
+     *  then runs the receive-side VI sync pair with @p after just
+     *  after it. */
+    sim::Task<> releaseBuffer(osmodel::CpuLease &lease, PendingIo &io,
+                              osmodel::Charge after);
 
     /** Applies the kDSA interrupt-(re)arming policy. */
     void applyArmPolicy();

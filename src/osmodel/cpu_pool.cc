@@ -84,32 +84,39 @@ CpuPool::arbitrate()
 }
 
 CpuPool::Run *
-CpuPool::beginRun(CpuCat cat)
+CpuPool::beginRun(CpuCat cat, sim::Tick start, sim::Tick end)
 {
     Run *run = free_runs_;
     if (run != nullptr)
         free_runs_ = run->next_free;
     else
         run = &run_slab_.emplace_back();
-    run->cat = cat;
-    run->start = sim_.now();
-    run->idx = active_runs_.size();
-    run->next_free = nullptr;
+    *run = Run{cat, CpuCat::Other, start, end, 0, active_runs_.size(),
+               nullptr};
     active_runs_.push_back(run);
     return run;
 }
 
-sim::Tick
+CpuPool::Spent
+CpuPool::spent(const Run &run) const
+{
+    const sim::Tick now = sim_.now();
+    const sim::Tick elapsed =
+        std::max<sim::Tick>(0, std::min(now, run.end) - run.start);
+    return {elapsed, now >= run.end ? std::min(run.hold, elapsed) : 0};
+}
+
+void
 CpuPool::endRun(Run *run)
 {
-    const sim::Tick elapsed = sim_.now() - run->start;
-    busy_time_[static_cast<size_t>(run->cat)] += elapsed;
+    const Spent c = spent(*run);
+    busy_time_[static_cast<size_t>(run->cat)] += c.elapsed - c.held;
+    busy_time_[static_cast<size_t>(run->hold_cat)] += c.held;
     active_runs_[run->idx] = active_runs_.back();
     active_runs_[run->idx]->idx = run->idx;
     active_runs_.pop_back();
     run->next_free = free_runs_;
     free_runs_ = run;
-    return elapsed;
 }
 
 sim::Tick
@@ -117,8 +124,11 @@ CpuPool::busyTime(CpuCat cat) const
 {
     sim::Tick total = busy_time_[static_cast<size_t>(cat)];
     for (const Run *run : active_runs_) {
+        const Spent c = spent(*run);
         if (run->cat == cat)
-            total += sim_.now() - run->start;
+            total += c.elapsed - c.held;
+        if (run->hold_cat == cat)
+            total += c.held;
     }
     return total;
 }
@@ -129,7 +139,7 @@ CpuPool::totalBusyTime() const
     sim::Tick total = std::accumulate(
         busy_time_.begin(), busy_time_.end(), sim::Tick{0});
     for (const Run *run : active_runs_)
-        total += sim_.now() - run->start;
+        total += spent(*run).elapsed;
     return total;
 }
 
@@ -158,10 +168,11 @@ CpuPool::resetStats()
 {
     busy_time_.fill(0);
     window_start_ = sim_.now();
-    // Clamp in-progress runs to the new window: the part that elapsed
-    // before the reset belongs to the old window and is discarded.
+    // Clamp open runs to the new window: the part that elapsed before
+    // the reset belongs to the old window and is discarded (all of it,
+    // for a run that has already ended).
     for (Run *run : active_runs_)
-        run->start = window_start_;
+        run->start = std::max(run->start, window_start_);
 }
 
 } // namespace v3sim::osmodel

@@ -12,12 +12,19 @@
  *  - acquire a lease (`co_await pool.acquire()`), possibly at
  *    interrupt priority;
  *  - while holding it, only advance time through `lease.run(d, cat)`
- *    or SimLock operations (lock waits spin, so the CPU stays busy);
+ *    or `SimLock::syncPair` (lock waits spin, so the CPU stays busy);
+ *    a CPU charge directly beside a sync pair rides the pair as its
+ *    `before`/`after` charge instead of running on its own;
  *  - never hold a lease across an I/O or network wait — release and
  *    re-acquire instead (that is what a blocked thread does).
  *
  * Under this contract the per-category busy sums exactly tile the
- * CPU-time the pool hands out, so breakdowns always add up.
+ * CPU-time the pool hands out, so breakdowns always add up. Each
+ * charge is a busy interval with explicit bounds: a sync pair opens
+ * all of its pieces when it is called, so an interval may start in
+ * the future, and a lock interval's end follows its batch until the
+ * batch end is final. Busy time counts each interval's part that has
+ * elapsed inside the current window, at any instant.
  */
 
 #ifndef V3SIM_OSMODEL_CPU_POOL_HH
@@ -140,34 +147,32 @@ class CpuPool
      *  band. */
     void release();
 
-    /** An in-progress busy interval (one per running charge). The
-     *  window accounting is exact: a run crossing a resetStats()
-     *  boundary contributes to each window only the time that elapsed
-     *  inside it, so utilization can never exceed 1 however the
-     *  measurement window straddles running work. */
+    /** A busy interval [start, end) charged to @p cat. The start may
+     *  lie in the future (a charge queued behind others on the same
+     *  lease); the end is fixed, or, for a lock interval, moved by
+     *  SimLock until its batch end is final. Once time reaches the
+     *  end, min(hold, elapsed) of it counts to @p hold_cat instead.
+     *  The window accounting is exact: an interval crossing a
+     *  resetStats() boundary contributes to each window only the time
+     *  that elapsed inside it, so utilization can never exceed 1
+     *  however the measurement window straddles running work. */
     struct Run
     {
         CpuCat cat = CpuCat::Other;
+        CpuCat hold_cat = CpuCat::Other;
         sim::Tick start = 0;
+        sim::Tick end = 0;
+        sim::Tick hold = 0;
         size_t idx = 0; ///< position in active_runs_ (swap-erase)
         Run *next_free = nullptr;
     };
 
-    /** Opens a busy interval charged to @p cat starting now. */
-    Run *beginRun(CpuCat cat);
+    /** Opens a busy interval [@p start, @p end) charged to @p cat. */
+    Run *beginRun(CpuCat cat, sim::Tick start, sim::Tick end);
 
-    /** Closes @p run, charging the time elapsed since its (possibly
-     *  reset-clamped) start; returns that charged amount. */
-    sim::Tick endRun(Run *run);
-
-    /** Adjusts a category's accumulated time directly (SimLock uses
-     *  this to re-attribute a slice of a closed Lock run to the
-     *  caller's hold category). */
-    void
-    addBusy(CpuCat cat, sim::Tick d)
-    {
-        busy_time_[static_cast<size_t>(cat)] += d;
-    }
+    /** Closes @p run, charging the part of it that has elapsed inside
+     *  the current window. */
+    void endRun(Run *run);
 
     /** Busy time for @p cat since the last reset, including the
      *  elapsed part of in-progress runs. */
@@ -208,6 +213,15 @@ class CpuPool
         }
     };
 
+    /** What @p run has spent by now: @p elapsed in all, of which
+     *  @p held counts to its hold category. */
+    struct Spent
+    {
+        sim::Tick elapsed;
+        sim::Tick held;
+    };
+    Spent spent(const Run &run) const;
+
     void park(std::coroutine_handle<> h, int priority,
               uint64_t order_key);
     /** Final-band grant pass: admits waiters while CPUs are free. */
@@ -222,7 +236,7 @@ class CpuPool
     bool arb_scheduled_ = false;
     /** Completed-run time per category (excludes active runs). */
     std::array<sim::Tick, kCpuCatCount> busy_time_{};
-    /** Open intervals; bounded by cpus_ (runs hold a lease). */
+    /** Open intervals; a few per CPU (runs hold a lease). */
     std::vector<Run *> active_runs_;
     std::deque<Run> run_slab_; ///< stable addresses for Run nodes
     Run *free_runs_ = nullptr;
@@ -244,7 +258,8 @@ CpuLease::run(sim::Tick d, CpuCat cat)
         await_suspend(std::coroutine_handle<> h) const
         {
             CpuPool *pool = lease->pool_;
-            CpuPool::Run *run = pool->beginRun(cat);
+            const sim::Tick now = pool->sim_.now();
+            CpuPool::Run *run = pool->beginRun(cat, now, now + d);
             pool->sim_.queue().schedule(d, [pool, run, h] {
                 pool->endRun(run);
                 h.resume();

@@ -14,15 +14,20 @@ IoManager::issueRequest(CpuLease lease, uint64_t buffer_pages,
                         bool pin_buffer)
 {
     requests_.increment();
-    co_await lease.run(costs_.syscall, CpuCat::Kernel);
-    co_await queue_lock_.syncPair(lease, CpuCat::Kernel);
-    co_await lease.run(costs_.irp_issue, CpuCat::Kernel);
+    // The CPU charges before each pair ride it.
+    const Charge none;
+    Charges enter;
+    enter.add(costs_.syscall, CpuCat::Kernel);
+    co_await queue_lock_.syncPair(lease, CpuCat::Kernel, -1, enter, none);
+    sim::Tick irp_ticks = costs_.irp_issue;
     if (pin_buffer) {
-        co_await lease.run(static_cast<sim::Tick>(buffer_pages) *
-                               costs_.probe_lock_page,
-                           CpuCat::Kernel);
+        irp_ticks += static_cast<sim::Tick>(buffer_pages) *
+                     costs_.probe_lock_page;
     }
-    co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel);
+    Charges irp;
+    irp.add(irp_ticks, CpuCat::Kernel);
+    co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel, -1, irp,
+                                     none);
 }
 
 sim::Task<>
@@ -30,15 +35,17 @@ IoManager::completeRequest(CpuLease lease, uint64_t buffer_pages,
                            bool unpin_buffer)
 {
     co_await queue_lock_.syncPair(lease, CpuCat::Kernel);
-    co_await lease.run(costs_.irp_complete, CpuCat::Kernel);
+    sim::Tick irp_ticks = costs_.irp_complete;
     if (unpin_buffer) {
-        co_await lease.run(static_cast<sim::Tick>(buffer_pages) *
-                               costs_.probe_lock_page,
-                           CpuCat::Kernel);
+        irp_ticks += static_cast<sim::Tick>(buffer_pages) *
+                     costs_.probe_lock_page;
     }
-    co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel);
-    // Wake the thread that blocked in the I/O system call.
-    co_await lease.run(costs_.context_switch, CpuCat::Kernel);
+    Charges irp;
+    irp.add(irp_ticks, CpuCat::Kernel);
+    // Then wake the thread that blocked in the I/O system call.
+    const Charge wake{costs_.context_switch, CpuCat::Kernel};
+    co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel, -1, irp,
+                                     wake);
 }
 
 } // namespace v3sim::osmodel

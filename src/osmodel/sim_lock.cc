@@ -1,7 +1,8 @@
 #include "sim_lock.hh"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <limits>
 
 namespace v3sim::osmodel
 {
@@ -12,54 +13,82 @@ SimLock::SimLock(sim::Simulation &sim, const HostCosts &costs,
 {}
 
 sim::Task<>
-SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
+SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold,
+                  Charges before, Charge after)
 {
     assert(lease.valid());
     if (hold < 0)
         hold = costs_.lock_hold;
 
     acquisitions_.increment();
-    // The acquire atomic op always costs, contended or not; the lock
-    // is reached when it ends.
-    const sim::Tick arrival = sim_.now() + costs_.lock_acquire;
-    // One open busy interval on our still-held CPU covers the acquire
-    // op, the spin, the critical section and the release op, so a
-    // measurement-window reset anywhere inside clips it correctly.
-    CpuPool::Run *run = lease.pool()->beginRun(CpuCat::Lock);
+    // Every piece of the pair is its own busy interval on our
+    // still-held CPU, opened now even where it starts later, so the
+    // accounting at any instant and across any window reset is that
+    // of running the pieces one after another. The before charges
+    // run back to back from now, then the acquire op (always paid,
+    // contended or not); the lock is reached when it ends.
+    CpuPool &pool = *lease.pool();
+    std::array<CpuPool::Run *, 2> lead{};
+    sim::Tick at = sim_.now();
+    for (uint8_t i = 0; i < before.count; ++i) {
+        const Charge &charge = before.items[i];
+        if (charge.ticks > 0) {
+            lead[i] = pool.beginRun(charge.cat, at, at + charge.ticks);
+            at += charge.ticks;
+        }
+    }
+    const sim::Tick arrival = at + costs_.lock_acquire;
+    // One Lock interval covers the acquire op, the spin, the critical
+    // section and the release op. It ends when our batch does, and
+    // from then on the critical section counts to hold_cat: a window
+    // reset clips the acquire op before the stay, and the stay is at
+    // least hold + release, so min(hold, clipped) is the critical
+    // section's share. The after charge starts when the batch ends.
+    // place() ties both to the batch end.
+    Member self;
+    self.lock_run = pool.beginRun(CpuCat::Lock, at, arrival);
+    self.lock_run->hold = hold;
+    self.lock_run->hold_cat = hold_cat;
+    if (after.ticks > 0) {
+        self.after = after.ticks;
+        self.after_run = pool.beginRun(after.cat, arrival, arrival);
+    }
 
-    // Park in our batch and resume when it completes. Local awaiter:
-    // it has access to the enclosing class's private members.
+    // Park in our batch and resume when we exit. Local awaiter: it
+    // has access to the enclosing class's private members.
     struct BatchJoin
     {
         SimLock *lock;
+        Member *member;
         sim::Tick arrival;
-        sim::Tick hold;
+        sim::Tick stay;
 
         bool await_ready() const { return false; }
 
         void
         await_suspend(std::coroutine_handle<> h) const
         {
-            lock->join(h, arrival, hold);
+            member->handle = h;
+            lock->place(member, arrival, stay);
         }
 
         void await_resume() const {}
     };
-    co_await BatchJoin{this, arrival, hold};
+    co_await BatchJoin{this, &self, arrival,
+                       hold + costs_.lock_release};
 
-    // Close the interval (charged to Lock, clipped to the current
-    // window) and re-attribute the critical section to the caller's
-    // category. A window reset clips the acquire op before the stay,
-    // and the stay is at least hold + release, so min(hold, charged)
-    // is the critical section's share of the clipped stay. Spin time
-    // beyond the member's own hold+release means the batch had
-    // company (or queued behind another batch).
-    const sim::Tick spin =
-        sim_.now() - arrival - hold - costs_.lock_release;
-    const sim::Tick charged = lease.pool()->endRun(run);
-    const sim::Tick hold_part = std::min(hold, charged);
-    lease.pool()->addBusy(hold_cat, hold_part);
-    lease.pool()->addBusy(CpuCat::Lock, -hold_part);
+    // Now is our batch's end plus the after charge. Spin time beyond
+    // the member's own hold+release means the batch had company (or
+    // queued behind another batch).
+    const sim::Tick spin = sim_.now() - self.after - arrival - hold -
+                           costs_.lock_release;
+    for (CpuPool::Run *run : lead) {
+        if (run != nullptr)
+            pool.endRun(run);
+    }
+    pool.endRun(self.lock_run);
+    if (self.after_run != nullptr)
+        pool.endRun(self.after_run);
     if (spin > 0) {
         contended_.increment();
         total_wait_ += spin;
@@ -67,54 +96,127 @@ SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold)
 }
 
 void
-SimLock::join(std::coroutine_handle<> member, sim::Tick arrival,
-              sim::Tick hold)
+SimLock::place(Member *member, sim::Tick arrival, sim::Tick stay)
 {
-    // The closed form below relies on arrivals in call order.
-    assert(batches_.empty() || arrival >= batches_.back().arrival);
-    const sim::Tick stay = hold + costs_.lock_release;
-    if (!batches_.empty() && batches_.back().arrival == arrival) {
-        // The batch serializes inside the lock but exits as one: its
+    // Arrivals never lie in the past, so everything this moves is a
+    // batch that has not started.
+    assert(arrival >= sim_.now());
+    // Search from the tail: most contenders arrive after every batch.
+    size_t i = batches_.size();
+    while (i > 0 && batches_[i - 1].arrival > arrival)
+        --i;
+    if (i > 0 && batches_[i - 1].arrival == arrival) {
+        // The batch serializes inside the lock but ends as one: its
         // end is a function of the batch *set*, with no per-member
         // assignment an arrival order could perturb.
-        Batch &tail = batches_.back();
-        tail.end += stay;
-        tail.members.push_back(member);
+        Batch &batch = batches_[i - 1];
+        batch.tail->next = member;
+        batch.tail = member;
+        batch.end += stay;
+        for (Member *m = batch.head; m != nullptr; m = m->next)
+            tie(batch, m);
+        armExit(batch);
     } else {
-        const sim::Tick start = std::max(arrival, free_at_);
-        batches_.push_back(Batch{arrival, start + stay, {member}});
-        armCompletion(start + stay);
+        const sim::Tick start =
+            i > 0 ? std::max(arrival, batches_[i - 1].end) : arrival;
+        const auto it = batches_.insert(
+            batches_.begin() + static_cast<std::ptrdiff_t>(i),
+            Batch{next_id_++, arrival, start, start + stay, -1, member,
+                  member});
+        tie(*it, member);
+        armExit(*it);
+        ++i;
     }
-    free_at_ = batches_.back().end;
+    // Push back the batches behind it, up to the first that keeps its
+    // start.
+    for (; i < batches_.size(); ++i) {
+        const sim::Tick start =
+            std::max(batches_[i].arrival, batches_[i - 1].end);
+        if (start == batches_[i].start)
+            break;
+        moveTo(batches_[i], start);
+    }
 }
 
 void
-SimLock::armCompletion(sim::Tick end)
+SimLock::moveTo(Batch &batch, sim::Tick start)
 {
-    // A batch that ends now completes in the final band, so it stays
-    // open to every same-tick contender (DESIGN.md §8.3).
-    if (end > sim_.now())
-        sim_.queue().scheduleAt(end, [this] { onComplete(); });
-    else
-        sim_.queue().scheduleFinal([this] { onComplete(); });
+    batch.end += start - batch.start;
+    batch.start = start;
+    for (Member *m = batch.head; m != nullptr; m = m->next)
+        tie(batch, m);
 }
 
 void
-SimLock::onComplete()
+SimLock::tie(const Batch &batch, Member *member)
 {
-    // Completions fire in FIFO order whichever batch's event this is;
-    // same-tick joiners may have moved the front's end out after its
-    // event was armed.
-    Batch &front = batches_.front();
-    if (sim_.now() < front.end) {
-        armCompletion(front.end);
+    member->lock_run->end = batch.end;
+    if (member->after_run != nullptr) {
+        member->after_run->start = batch.end;
+        member->after_run->end = batch.end + member->after;
+    }
+}
+
+void
+SimLock::armExit(Batch &batch)
+{
+    sim::Tick first = std::numeric_limits<sim::Tick>::max();
+    for (const Member *m = batch.head; m != nullptr; m = m->next)
+        first = std::min(first, batch.end + m->after);
+    // Exits only move out, so a live event that fires no later than
+    // the first exit re-arms when it fires early.
+    if (batch.armed >= 0 && batch.armed <= first)
         return;
+    batch.armed = first;
+    const uint64_t id = batch.id;
+    // An exit on the current tick happens in the final band, so the
+    // batch stays open to every same-tick contender (DESIGN.md §8.3).
+    if (first > sim_.now())
+        sim_.queue().scheduleAt(first, [this, id] { onExit(id); });
+    else
+        sim_.queue().scheduleFinal([this, id] { onExit(id); });
+}
+
+void
+SimLock::onExit(uint64_t id)
+{
+    const sim::Tick now = sim_.now();
+    const auto it =
+        std::find_if(batches_.begin(), batches_.end(),
+                     [id](const Batch &b) { return b.id == id; });
+    // An event superseded by an earlier arming does nothing.
+    if (it == batches_.end() || it->armed != now)
+        return;
+    Batch &batch = *it;
+    batch.armed = -1;
+    // Unlink the members that exit now, keeping join order in both
+    // lists.
+    Member *due = nullptr;
+    Member **due_end = &due;
+    Member **link = &batch.head;
+    batch.tail = nullptr;
+    while (Member *m = *link) {
+        if (batch.end + m->after == now) {
+            *link = m->next;
+            m->next = nullptr;
+            *due_end = m;
+            due_end = &m->next;
+        } else {
+            batch.tail = m;
+            link = &m->next;
+        }
     }
-    const std::vector<std::coroutine_handle<>> members =
-        std::move(front.members);
-    batches_.pop_front();
-    for (const auto &member : members)
-        member.resume();
+    if (batch.head == nullptr)
+        batches_.erase(it);
+    else
+        armExit(batch);
+    // Resumed members may call back into the lock; nothing above is
+    // touched after the first resume.
+    for (Member *m = due; m != nullptr;) {
+        Member *next = m->next;
+        m->handle.resume();
+        m = next;
+    }
 }
 
 } // namespace v3sim::osmodel

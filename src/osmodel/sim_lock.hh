@@ -5,40 +5,47 @@
  * The paper counts I/O-path cost in "synchronization pairs" — one
  * lock/unlock around a short critical section (section 3.3: "a total
  * of about 8-10 synchronization pairs involved in the path of
- * processing a single I/O request"). A SimLock models one such lock.
- * syncPair() performs the full pair: the acquire atomic op, a spin
- * wait while the lock is held elsewhere, the critical section, and
- * the release op. Spin time burns the waiter's CPU and is charged to
- * the Lock accounting category, so lock contention *emerges* from
- * I/O rate and CPU count instead of being a dialed-in constant —
- * the mechanism behind Figures 9, 11, 12 and 14.
+ * processing a single I/O request"), with short CPU charges between
+ * them. A SimLock models one such lock. syncPair() performs the full
+ * pair: up to two CPU charges just before it, the acquire atomic op,
+ * a spin wait while the lock is held elsewhere, the critical section,
+ * the release op, and one CPU charge just after it. Spin time burns
+ * the waiter's CPU and is charged to the Lock accounting category, so
+ * lock contention *emerges* from I/O rate and CPU count instead of
+ * being a dialed-in constant — the mechanism behind Figures 9, 11, 12
+ * and 14.
  *
  * Determinism (DESIGN.md §8.3): contenders whose acquire ops land on
  * the same tick are a *race* — their relative order is unspecified
  * and tie-shuffled. The lock therefore never arbitrates by arrival
  * order. Same-tick contenders form one *batch* that occupies the lock
  * for the sum of its members' critical sections (plus one release op
- * each), and all members exit together when the batch completes.
- * Every contender pays the same acquire op, so a contender arrives at
- * the lock a fixed time after it calls and arrivals come in call
- * order: the lock places each contender at call time, in a FIFO of
- * batches whose starts and ends are closed-form (a batch starts when
- * both its arrival tick and the lock's free tick are reached). A
- * batch arms its completion when it is created; later contenders of
- * the same call tick join it, moving its end out (a completion that
- * fires early re-arms at the true end). Members stay suspended until
- * completion, so every observable — exit times, spin accounting,
+ * each), and every member leaves the lock when the batch ends. A
+ * contender's arrival (its call tick plus its before charges plus the
+ * acquire op) is known when it calls, so the lock places it at call
+ * time, in batches kept sorted by arrival whose starts and ends are
+ * closed-form: a contender joins the batch of its arrival tick
+ * (moving that batch's end out) or inserts a new one starting at
+ * max(arrival, previous batch's end), and the batches behind it are
+ * pushed back. A later caller with shorter charges may so overtake
+ * an earlier one; arrivals never lie in the past, so only batches
+ * that have not started move. A member resumes at its batch's end
+ * plus its after charge, one event per batch and exit tick (an event
+ * that fires before a moved-out exit re-arms). Members stay suspended
+ * until then, so every observable — exit times, spin accounting,
  * contention counts — is a function of the batch *set*, invariant
- * under the tie-shuffle seed. Contenders arriving on distinct ticks
- * keep strict FIFO order, and an uncontended pair costs exactly
- * acquire + hold + release in one event.
+ * under the tie-shuffle seed. An uncontended pair with its charges
+ * costs exactly before + acquire + hold + release + after in one
+ * event.
  */
 
 #ifndef V3SIM_OSMODEL_SIM_LOCK_HH
 #define V3SIM_OSMODEL_SIM_LOCK_HH
 
+#include <cassert>
 #include <coroutine>
-#include <deque>
+#include <iterator>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -50,6 +57,29 @@
 
 namespace v3sim::osmodel
 {
+
+/** One CPU charge run on a lease beside a sync pair. */
+struct Charge
+{
+    sim::Tick ticks = 0;
+    CpuCat cat = CpuCat::Other;
+};
+
+/** Up to two charges run back to back before a sync pair. A plain
+ *  value (fixed array plus count): build it in a named local and
+ *  pass it by value. */
+struct Charges
+{
+    Charge items[2]{};
+    uint8_t count = 0;
+
+    void
+    add(sim::Tick ticks, CpuCat cat)
+    {
+        assert(count < std::size(items));
+        items[count++] = Charge{ticks, cat};
+    }
+};
 
 /** One kernel/library lock; batch-fair, spin-wait semantics. */
 class SimLock
@@ -64,16 +94,28 @@ class SimLock
     const std::string &name() const { return name_; }
 
     /**
-     * Executes one synchronization pair on the caller's CPU:
-     * acquire op + spin wait + critical section + release op.
-     * The critical section is charged to @p hold_cat; lock ops and
-     * spin time to CpuCat::Lock.
+     * Executes one synchronization pair on the caller's CPU, with the
+     * CPU charges beside it: @p before (in order), acquire op + spin
+     * wait + critical section + release op, then @p after. Each
+     * charge counts to its own category; the critical section to
+     * @p hold_cat; lock ops and spin time to CpuCat::Lock. The same
+     * as running the charges with `lease.run` around the pair, in one
+     * event.
      *
      * @param hold critical-section length; negative means "use the
      *        platform default" (costs.lock_hold).
      */
-    sim::Task<> syncPair(CpuLease lease, CpuCat hold_cat,
-                         sim::Tick hold = -1);
+    sim::Task<> syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold,
+                         Charges before, Charge after);
+
+    /** A pair with no charges beside it. */
+    sim::Task<>
+    syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold = -1)
+    {
+        const Charges none;
+        const Charge no_after;
+        return syncPair(lease, hold_cat, hold, none, no_after);
+    }
 
     uint64_t acquisitionCount() const { return acquisitions_.value(); }
 
@@ -85,27 +127,49 @@ class SimLock
     sim::Tick totalWait() const { return total_wait_; }
 
   private:
+    /** A suspended contender; lives in its syncPair frame. */
+    struct Member
+    {
+        std::coroutine_handle<> handle;
+        sim::Tick after = 0;              ///< exit = batch end + after
+        CpuPool::Run *lock_run = nullptr;  ///< ends at the batch end
+        CpuPool::Run *after_run = nullptr; ///< starts at the batch end
+        Member *next = nullptr;            ///< join order
+    };
+
     /** Same-tick arrivals, granted and released as one unit. */
     struct Batch
     {
+        uint64_t id;
         sim::Tick arrival;
-        sim::Tick end; ///< start + Σhold + n·release
-        std::vector<std::coroutine_handle<>> members;
+        sim::Tick start;
+        sim::Tick end;      ///< start + Σhold + n·release
+        sim::Tick armed;    ///< tick of the live exit event, or -1
+        Member *head;
+        Member *tail;
     };
 
-    /** Places a contender arriving at @p arrival: in the tail batch
-     *  if that batch arrives on the same tick, else in a new batch. */
-    void join(std::coroutine_handle<> member, sim::Tick arrival,
-              sim::Tick hold);
-    void armCompletion(sim::Tick end);
-    /** Completes the front batch, or re-arms at its moved-out end. */
-    void onComplete();
+    /** Places @p member arriving at @p arrival: in the batch of that
+     *  tick, else in a new batch at its sorted place; pushes back the
+     *  batches behind it. */
+    void place(Member *member, sim::Tick arrival, sim::Tick stay);
+    /** Moves @p batch to @p start, keeping its length, and drags its
+     *  members' tied intervals along. */
+    void moveTo(Batch &batch, sim::Tick start);
+    static void tie(const Batch &batch, Member *member);
+    /** Arms an exit event at the batch's first member exit unless a
+     *  live one already fires no later. */
+    void armExit(Batch &batch);
+    /** Resumes the members of batch @p id that exit now, or re-arms
+     *  at the first moved-out exit. */
+    void onExit(uint64_t id);
 
     sim::Simulation &sim_;
     const HostCosts &costs_;
     std::string name_;
-    std::deque<Batch> batches_; ///< not yet completed, in FIFO order
-    sim::Tick free_at_ = 0;     ///< end of the last batch placed
+    /** Batches with members still inside, sorted by arrival. */
+    std::vector<Batch> batches_;
+    uint64_t next_id_ = 0;
     sim::Counter acquisitions_;
     sim::Counter contended_;
     sim::Tick total_wait_ = 0;

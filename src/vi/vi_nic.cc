@@ -232,9 +232,10 @@ ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
         packets_sent_.increment();
 
         std::function<void()> on_wire;
-        if (last) {
+        if (last && ep.send_cq_ != nullptr) {
             // Retire the send descriptor when the last fragment has
-            // fully left the NIC.
+            // fully left the NIC (only an endpoint with a send CQ
+            // reports it).
             ViNic *nic = this;
             const EndpointId ep_id = ep.id_;
             const uint64_t cookie = desc.cookie;

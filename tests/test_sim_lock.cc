@@ -1,9 +1,10 @@
 /**
  * @file
- * Unit tests for SimLock: sync-pair costs, closed-form batch FIFO,
- * spin-time and window-reset accounting, emergent contention, and
- * tie-shuffle invariance of the same-tick arbitration (DESIGN.md
- * §8.3).
+ * Unit tests for SimLock: sync-pair costs, closed-form batches kept
+ * in arrival order, the CPU charges beside a pair, spin-time and
+ * window-reset accounting (in flight and at exit), emergent
+ * contention, and tie-shuffle invariance of the same-tick arbitration
+ * (DESIGN.md §8.3).
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +37,21 @@ timedPair(sim::Simulation &s, CpuPool &p, SimLock &l, Tick call,
     CpuLease lease = co_await p.acquire();
     co_await s.sleep(call);
     co_await l.syncPair(lease, CpuCat::Dsa, hold);
+    if (exit != nullptr)
+        *exit = s.now();
+    p.release();
+}
+
+/** Like timedPair, with @p before and @p after charges beside the
+ *  pair and the critical section charged to @p hold_cat. */
+Task<>
+chargedPair(sim::Simulation &s, CpuPool &p, SimLock &l, Tick call,
+            Tick hold, Charges before, Charge after,
+            Tick *exit = nullptr, CpuCat hold_cat = CpuCat::Dsa)
+{
+    CpuLease lease = co_await p.acquire();
+    co_await s.sleep(call);
+    co_await l.syncPair(lease, hold_cat, hold, before, after);
     if (exit != nullptr)
         *exit = s.now();
     p.release();
@@ -215,6 +231,259 @@ TEST_F(SimLockTest, ArrivalAtTailBatchEndStartsWithoutSpin)
               (std::vector<Tick>{a_exit, a_exit + usecs(3) + release}));
     EXPECT_EQ(lock_.contendedCount(), 0u);
     EXPECT_EQ(lock_.totalWait(), 0);
+}
+
+TEST_F(SimLockTest, ChargesBesidePairRunInOneEvent)
+{
+    // Two before charges, the pair, and an after charge: the exit is
+    // the sum of all of them, each charge counts to its own category,
+    // and the whole sequence fires one event.
+    Charges before;
+    before.add(usecs(2), CpuCat::Kernel);
+    before.add(usecs(3), CpuCat::Other);
+    const Charge after{usecs(4), CpuCat::Vi};
+    Tick exit = -1;
+    sim::spawn(chargedPair(sim_, pool_, lock_, 0, usecs(1), before,
+                           after, &exit));
+    sim_.run();
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    EXPECT_EQ(exit, usecs(5) + acquire + usecs(1) + release + usecs(4));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Kernel), usecs(2));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Other), usecs(3));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Lock), acquire + release);
+    EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), usecs(1));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Vi), usecs(4));
+    // The acquire arbitration, the sleep, and the pair.
+    EXPECT_EQ(sim_.queue().firedCount(), 3u);
+}
+
+TEST_F(SimLockTest, AfterChargeRunsOutsideTheLock)
+{
+    // A's after charge runs once A's batch has left the lock: B, who
+    // arrived during A's hold, starts at A's batch end, not at A's
+    // exit. The after charge is A's own category, not Lock.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    const Charges none;
+    const Charge after{usecs(20), CpuCat::Vi};
+    const Charge no_after;
+    std::vector<Tick> exits(2, -1);
+    sim::spawn(chargedPair(sim_, pool_, lock_, 0, usecs(10), none, after,
+                           &exits[0]));
+    sim::spawn(chargedPair(sim_, pool_, lock_, usecs(1), usecs(3), none,
+                           no_after, &exits[1]));
+    sim_.run();
+    const Tick a_end = acquire + usecs(10) + release;
+    const Tick b_exit = a_end + usecs(3) + release;
+    EXPECT_EQ(exits, (std::vector<Tick>{a_end + usecs(20), b_exit}));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Vi), usecs(20));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), usecs(13));
+    EXPECT_EQ(pool_.busyTime(CpuCat::Lock),
+              (acquire + release) + (b_exit - usecs(1) - usecs(3)));
+    EXPECT_EQ(lock_.contendedCount(), 1u);
+}
+
+TEST_F(SimLockTest, LaterCallerThatArrivesEarlierOvertakes)
+{
+    // A calls first but runs a long before charge; B calls 1 us later
+    // with none and reaches the lock first. B's batch goes ahead and
+    // A's, placed when A called, is pushed back to start at B's end.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    Charges slow;
+    slow.add(usecs(5), CpuCat::Kernel);
+    const Charges none;
+    const Charge no_after;
+    std::vector<Tick> exits(2, -1);
+    sim::spawn(chargedPair(sim_, pool_, lock_, 0, usecs(2), slow,
+                           no_after, &exits[0]));
+    sim::spawn(chargedPair(sim_, pool_, lock_, usecs(1), usecs(10), none,
+                           no_after, &exits[1]));
+    sim_.run();
+    const Tick b_exit = usecs(1) + acquire + usecs(10) + release;
+    const Tick a_exit = b_exit + usecs(2) + release;
+    ASSERT_LT(usecs(5) + acquire, b_exit);
+    EXPECT_EQ(exits, (std::vector<Tick>{a_exit, b_exit}));
+    EXPECT_EQ(lock_.contendedCount(), 1u);
+    EXPECT_EQ(lock_.totalWait(), b_exit - (usecs(5) + acquire));
+}
+
+TEST_F(SimLockTest, PushBackStopsAtFirstBatchThatKeepsItsStart)
+{
+    // Three contenders placed at tick 0 with before charges of 4, 6
+    // and 30 us, so their arrivals are 4, 6 and 30 us out (plus the
+    // acquire op). Then D, calling at 1 us with no charge, arrives
+    // first: the 4 us and 6 us batches are pushed back behind it, but
+    // the 30 us batch still starts at its own arrival.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    const Charge no_after;
+    const Charges none;
+    std::vector<Charges> leads(3);
+    leads[0].add(usecs(4), CpuCat::Kernel);
+    leads[1].add(usecs(6), CpuCat::Kernel);
+    leads[2].add(usecs(30), CpuCat::Kernel);
+    std::vector<Tick> exits(4, -1);
+    for (size_t i = 0; i < 3; ++i) {
+        sim::spawn(chargedPair(sim_, pool_, lock_, 0, usecs(2), leads[i],
+                               no_after, &exits[i]));
+    }
+    sim::spawn(chargedPair(sim_, pool_, lock_, usecs(1), usecs(5), none,
+                           no_after, &exits[3]));
+    sim_.run();
+    const Tick stay = usecs(2) + release;
+    const Tick d_exit = usecs(1) + acquire + usecs(5) + release;
+    ASSERT_LT(d_exit + 2 * stay, usecs(30) + acquire);
+    EXPECT_EQ(exits, (std::vector<Tick>{d_exit + stay, d_exit + 2 * stay,
+                                        usecs(30) + acquire + stay,
+                                        d_exit}));
+    EXPECT_EQ(lock_.contendedCount(), 2u);
+}
+
+TEST_F(SimLockTest, DifferentCallTicksSameArrivalShareOneBatch)
+{
+    // A calls at 0 with a 2 us before charge, B at 2 us with none:
+    // both reach the lock on one tick and form one batch.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    Charges lead;
+    lead.add(usecs(2), CpuCat::Other);
+    const Charges none;
+    const Charge no_after;
+    std::vector<Tick> exits(2, -1);
+    sim::spawn(chargedPair(sim_, pool_, lock_, 0, usecs(3), lead,
+                           no_after, &exits[0]));
+    sim::spawn(chargedPair(sim_, pool_, lock_, usecs(2), usecs(4), none,
+                           no_after, &exits[1]));
+    sim_.run();
+    const Tick batch_exit = usecs(2) + acquire + usecs(7) + 2 * release;
+    EXPECT_EQ(exits, (std::vector<Tick>{batch_exit, batch_exit}));
+    EXPECT_EQ(lock_.contendedCount(), 2u);
+}
+
+TEST_F(SimLockTest, InsertionAheadOfArmedBatchReArmsOnce)
+{
+    // A is placed (and its exit armed) at tick 0 behind a 5 us before
+    // charge; B, calling at 1 us, is inserted ahead of it and pushes
+    // it back. A's armed event fires early and re-arms once: six
+    // events in all (the acquire arbitration, the two sleeps, B's
+    // exit, A's early event, A's exit).
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    Charges slow;
+    slow.add(usecs(5), CpuCat::Kernel);
+    const Charges none;
+    const Charge no_after;
+    std::vector<Tick> exits(2, -1);
+    sim::spawn(chargedPair(sim_, pool_, lock_, 0, usecs(1), slow,
+                           no_after, &exits[0]));
+    sim::spawn(chargedPair(sim_, pool_, lock_, usecs(1), usecs(8), none,
+                           no_after, &exits[1]));
+    sim_.run();
+    const Tick b_exit = usecs(1) + acquire + usecs(8) + release;
+    EXPECT_EQ(exits,
+              (std::vector<Tick>{b_exit + usecs(1) + release, b_exit}));
+    EXPECT_EQ(sim_.queue().firedCount(), 6u);
+}
+
+TEST_F(SimLockTest, InFlightAccountingMatchesUnfusedSequence)
+{
+    // H holds the lock from tick 0. S calls at 0 with a Kernel and an
+    // Other charge before its pair, spins behind H, holds (Sql), and
+    // runs a Vi charge after. busyTime of every category, sampled one
+    // tick before, on and after each segment boundary, must be what
+    // the unfused sequence of intervals gives: each charge in its
+    // own category over its own interval; one Lock interval from the
+    // end of the before charges to the lock exit, of which
+    // min(hold, clipped) moves to Sql once the exit is reached; the
+    // Vi charge from the exit on. Repeated with a window reset inside
+    // each of S's segments (and with none).
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    const Tick h_hold = usecs(10);
+    const Tick s_hold = usecs(4);
+    const Tick k_end = usecs(1);
+    const Tick o_end = usecs(3);
+    const Tick h_end = acquire + h_hold + release;
+    ASSERT_LT(o_end + acquire, h_end); // S spins behind H
+    const Tick s_lock_end = h_end + s_hold + release;
+    const Tick s_exit = s_lock_end + usecs(5);
+
+    struct Interval
+    {
+        CpuCat cat;
+        Tick start;
+        Tick end;
+        Tick hold;  ///< moved to hold_cat once time reaches end
+        CpuCat hold_cat;
+    };
+    const std::vector<Interval> intervals = {
+        {CpuCat::Lock, 0, h_end, h_hold, CpuCat::Dsa},        // H
+        {CpuCat::Kernel, 0, k_end, 0, CpuCat::Kernel},        // S
+        {CpuCat::Other, k_end, o_end, 0, CpuCat::Other},      // S
+        {CpuCat::Lock, o_end, s_lock_end, s_hold, CpuCat::Sql}, // S
+        {CpuCat::Vi, s_lock_end, s_exit, 0, CpuCat::Vi},      // S
+    };
+    auto expected = [&](CpuCat cat, Tick t, Tick window) {
+        Tick total = 0;
+        for (const Interval &iv : intervals) {
+            const Tick elapsed = std::max<Tick>(
+                0, std::min(t, iv.end) - std::max(iv.start, window));
+            const Tick held =
+                t >= iv.end ? std::min(iv.hold, elapsed) : 0;
+            if (iv.cat == cat)
+                total += elapsed - held;
+            if (iv.hold_cat == cat)
+                total += held;
+        }
+        return total;
+    };
+
+    std::vector<Tick> samples;
+    for (const Tick b : {k_end, o_end, h_end, s_lock_end, s_exit}) {
+        for (const Tick d : {Tick{-1}, Tick{0}, Tick{1}})
+            samples.push_back(b + d);
+    }
+    const std::vector<Tick> resets = {
+        -1,
+        k_end / 2,                  // Kernel charge
+        (k_end + o_end) / 2,        // Other charge
+        (o_end + h_end) / 2,        // acquire op and spin
+        (h_end + s_lock_end) / 2,   // critical section
+        s_lock_end + usecs(2)};     // Vi charge
+    for (const Tick reset : resets) {
+        sim::Simulation s;
+        CpuPool pool(s, 8, "cpu");
+        SimLock lock(s, costs_, "inflight");
+        Charges before;
+        before.add(k_end, CpuCat::Kernel);
+        before.add(o_end - k_end, CpuCat::Other);
+        const Charges none;
+        const Charge after{s_exit - s_lock_end, CpuCat::Vi};
+        const Charge no_after;
+        sim::spawn(chargedPair(s, pool, lock, 0, h_hold, none, no_after));
+        sim::spawn(chargedPair(s, pool, lock, 0, s_hold, before, after,
+                               nullptr, CpuCat::Sql));
+        if (reset >= 0)
+            s.queue().scheduleAt(reset, [&pool] { pool.resetStats(); });
+        for (const Tick t : samples) {
+            ASSERT_NE(t, reset);
+            s.queue().scheduleAt(t, [&, t, reset] {
+                const Tick window = reset >= 0 && t > reset ? reset : 0;
+                Tick sum = 0;
+                for (size_t c = 0; c < kCpuCatCount; ++c) {
+                    const auto cat = static_cast<CpuCat>(c);
+                    EXPECT_EQ(pool.busyTime(cat), expected(cat, t, window))
+                        << cpuCatName(cat) << " at " << t << ", reset "
+                        << reset;
+                    sum += pool.busyTime(cat);
+                }
+                EXPECT_EQ(pool.totalBusyTime(), sum) << "at " << t;
+            });
+        }
+        s.run();
+    }
 }
 
 TEST_F(SimLockTest, SameTickFreeAndArrivalsAreOrderInvariant)

@@ -1,7 +1,7 @@
 # Event-count gate, run by ctest as `selftime_event_counts`:
 #
 #   cmake -DSELFTIME=<selftime binary> -DOUT=<artifact path>
-#         -DEXPECT="fig10=<events>;fig13=<events>"
+#         -DEXPECT="<profile>=<events>;<profile>=<events>;..."
 #         -P tools/event_count_gate.cmake
 #
 # Runs `selftime --quick` and requires each named profile's fired
