@@ -8,9 +8,16 @@
  * Paper anchors: batched dereg +15% (kDSA) / +10% (cDSA); interrupt
  * batching +7% / +14%; lock-sync reduction +12% / +24% cumulative
  * steps.
+ *
+ * `--tie-seed N` (N > 0) runs every configuration under the event-tie
+ * shuffle (DESIGN.md §8.3); ctest fig09_determinism_diff requires the
+ * `--quick` artifact to be byte-identical across two tie seeds. Each
+ * row also records the raw tpmC (`kdsa_tpmc`, `cdsa_tpmc`).
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "scenarios/tpcc_run.hh"
 #include "util/bench_reporter.hh"
@@ -23,6 +30,11 @@ int
 main(int argc, char **argv)
 {
     util::BenchReporter reporter("fig09", argc, argv);
+    uint64_t tie_seed = 0;
+    for (int i = 1; i + 1 < argc; ++i) {
+        if (std::strcmp(argv[i], "--tie-seed") == 0)
+            tie_seed = std::strtoull(argv[i + 1], nullptr, 0);
+    }
 
     std::printf("Figure 9: optimization stack vs tpmC, large "
                 "configuration (normalized to unoptimized)\n\n");
@@ -53,6 +65,7 @@ main(int argc, char **argv)
             config.platform = Platform::Large;
             config.backend = backend;
             config.opts = step.opts;
+            config.tie_seed = tie_seed;
             if (reporter.quick()) {
                 config.warmup = sim::msecs(60);
                 config.window = sim::msecs(250);
@@ -66,6 +79,9 @@ main(int argc, char **argv)
                 backend == Backend::Kdsa ? "kdsa_norm" : "cdsa_norm";
             reporter.col(key,
                          result.oltp.tpmc / base[column] * 100);
+            reporter.col(backend == Backend::Kdsa ? "kdsa_tpmc"
+                                                  : "cdsa_tpmc",
+                         result.oltp.tpmc);
             last_metrics = result.metrics_json;
             ++column;
         }

@@ -21,6 +21,12 @@
  *  - fig10_kdsa: the large TPC-C run on kDSA, whose I/Os also go
  *    through the kernel I/O manager's sync pairs.
  *
+ * Each profile row also carries its fired events split by
+ * scheduling site (`events_<category>`, sim::EventCategory) and
+ * `dispatch_ticks`, the ticks that ran a TickArbiter dispatch: the
+ * dispatch count minus those ticks is the number of second dispatches
+ * on a tick.
+ *
  * Wall-clock use is the whole point here, so the determinism rule is
  * waived file-wide (the *simulated* results of the profiles stay
  * seed-deterministic; only the wall timings vary run to run).
@@ -30,8 +36,11 @@
 // simlint:allow-file(wall-clock: self-timing bench measures real elapsed time)
 // simlint:allow-file(banned-header: chrono is the wall clock this bench exists to read)
 
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "scenarios/tpcc_run.hh"
 #include "sim/random.hh"
@@ -56,6 +65,8 @@ wallNow()
 struct ProfileResult
 {
     uint64_t events = 0;
+    std::array<uint64_t, sim::kEventCategoryCount> by_category{};
+    uint64_t dispatch_ticks = 0;
     double sim_s = 0;
     double wall_s = 0;
 };
@@ -122,6 +133,11 @@ runCore(uint64_t target_events)
 
     ProfileResult out;
     out.events = sim.queue().firedCount();
+    for (size_t c = 0; c < sim::kEventCategoryCount; ++c) {
+        out.by_category[c] =
+            sim.queue().firedCount(static_cast<sim::EventCategory>(c));
+    }
+    out.dispatch_ticks = sim.queue().dispatchTicks();
     out.sim_s = sim::toSecs(sim.now());
     out.wall_s = t1 - t0;
     return out;
@@ -144,6 +160,8 @@ runTpccProfile(Platform platform, Backend backend, bool quick)
 
     ProfileResult out;
     out.events = result.events_fired;
+    out.by_category = result.events_by_category;
+    out.dispatch_ticks = result.dispatch_ticks;
     out.sim_s = sim::toSecs(result.sim_elapsed);
     out.wall_s = t1 - t0;
     return out;
@@ -197,8 +215,33 @@ main(int argc, char **argv)
         reporter.col("wall_s", row.r.wall_s);
         reporter.col("events_per_sec", eps);
         reporter.col("wall_per_sim_sec", wps);
+        for (size_t c = 0; c < sim::kEventCategoryCount; ++c) {
+            reporter.col(std::string("events_") +
+                             sim::eventCategoryName(
+                                 static_cast<sim::EventCategory>(c)),
+                         row.r.by_category[c]);
+        }
+        reporter.col("dispatch_ticks", row.r.dispatch_ticks);
     }
     table.print();
+
+    std::printf("\nFired events by scheduling site\n\n");
+    std::vector<std::string> header{"category"};
+    for (const Row &row : rows)
+        header.emplace_back(row.name);
+    util::TextTable by_category(header);
+    for (size_t c = 0; c < sim::kEventCategoryCount; ++c) {
+        std::vector<std::string> cells{sim::eventCategoryName(
+            static_cast<sim::EventCategory>(c))};
+        for (const Row &row : rows)
+            cells.push_back(std::to_string(row.r.by_category[c]));
+        by_category.addRow(cells);
+    }
+    std::vector<std::string> ticks{"(dispatch ticks)"};
+    for (const Row &row : rows)
+        ticks.push_back(std::to_string(row.r.dispatch_ticks));
+    by_category.addRow(ticks);
+    by_category.print();
     reporter.note("workloads",
                   "core=synthetic event churn; fig10/fig13 = "
                   "cDSA TPC-C profiles at seed 1; fig10_kdsa = the "

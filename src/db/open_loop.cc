@@ -21,7 +21,15 @@ arrivalProcessName(ArrivalProcess process)
 OpenLoopDriver::OpenLoopDriver(osmodel::Node &host,
                                dsa::BlockDevice &device,
                                OpenLoopConfig config, sim::Rng rng)
-    : host_(host), device_(device), config_(config), rng_(rng),
+    : sim::TickArbiter(host.sim().queue(),
+                       [](sim::TickArbiter &self) {
+                           OpenLoopDriver &driver =
+                               static_cast<OpenLoopDriver &>(self);
+                           assert(driver.in_system_ >= driver.leaving_);
+                           driver.in_system_ -= driver.leaving_;
+                           driver.leaving_ = 0;
+                       }),
+      host_(host), device_(device), config_(config), rng_(rng),
       zipf_(config_.tenants, config_.zipf_theta),
       lanes_(host.sim().queue(),
              static_cast<int64_t>(config_.max_inflight)),
@@ -164,12 +172,8 @@ OpenLoopDriver::request(uint64_t tenant, bool is_read,
         goodput_.increment();
     else
         late_.increment();
-    // Deferred to the final band so the generator's same-tick
-    // queue-cap check reads a value no completion race can perturb.
-    host_.sim().queue().scheduleFinal([this] {
-        assert(in_system_ > 0);
-        --in_system_;
-    });
+    ++leaving_;
+    markDirty();
 }
 
 void

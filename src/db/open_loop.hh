@@ -44,6 +44,7 @@
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
+#include "sim/tick_arbiter.hh"
 
 namespace v3sim::db
 {
@@ -108,7 +109,7 @@ struct OpenLoopConfig
 
 /** The load generator. Construct, start(), run the simulation for
  *  the window, stop(), then let the simulation drain. */
-class OpenLoopDriver
+class OpenLoopDriver : private sim::TickArbiter
 {
   public:
     /** @param rng a forked stream (sim.forkRng()); the driver owns
@@ -169,6 +170,11 @@ class OpenLoopDriver
 
     bool running_ = false;
     uint32_t in_system_ = 0;
+    /** Requests finished this tick, leaving in_system_ in the tick's
+     *  arbiter dispatch (the hook) so the generator's same-tick
+     *  queue-cap check reads a level no completion race can
+     *  perturb. */
+    uint32_t leaving_ = 0;
     uint64_t next_seq_ = 0;
     uint64_t blocks_ = 0;
 

@@ -88,7 +88,13 @@ DiskStore::rangeCorrupt(uint64_t offset, uint64_t len) const
 
 Disk::Disk(sim::Simulation &sim, DiskSpec spec, sim::Rng rng,
            std::string name, SchedPolicy policy, bool phantom_store)
-    : sim_(sim),
+    : sim::TickArbiter(sim.queue(),
+                       [](sim::TickArbiter &self) {
+                           Disk &disk = static_cast<Disk &>(self);
+                           if (!disk.busy_)
+                               disk.startNext();
+                       }),
+      sim_(sim),
       spec_(std::move(spec)),
       rng_(rng),
       name_(std::move(name)),
@@ -131,20 +137,16 @@ Disk::submit(uint64_t offset, uint64_t len, bool is_write,
 void
 Disk::scheduleStart()
 {
-    if (busy_ || start_scheduled_ || queue_.empty())
+    if (busy_ || queue_.empty())
         return;
-    start_scheduled_ = true;
-    // Deferred to the tick's final band (same tick, zero cost) so
-    // every same-tick arrival — zero-delay submission chains included
-    // — is enqueued before the scheduler picks: the pick, and the
-    // head movement and rotational-rng draw sequence that follow from
-    // it, become a function of the *set* of queued requests, not of
-    // their (tie-shuffled) arrival order. See DESIGN.md §8.3.
-    sim_.queue().scheduleFinal([this] {
-        start_scheduled_ = false;
-        if (!busy_)
-            startNext();
-    });
+    // Deferred to the tick's arbiter dispatch (same tick, zero cost)
+    // so every same-tick arrival — zero-delay submission chains
+    // included — is enqueued before the scheduler picks: the pick,
+    // and the head movement and rotational-rng draw sequence that
+    // follow from it, become a function of the *set* of queued
+    // requests, not of their (tie-shuffled) arrival order. See
+    // DESIGN.md §8.3.
+    markDirty();
 }
 
 sim::Task<>
@@ -291,19 +293,22 @@ Disk::startNext()
     head_pos_ = cmd.offset + cmd.len;
     service_stats_.add(static_cast<double>(service));
 
-    sim_.queue().schedule(service, [this, cmd = std::move(cmd)] {
-        latency_stats_.add(
-            static_cast<double>(sim_.now() - cmd.enqueued));
-        completed_.increment();
-        busy_ = false;
-        busy_integral_.set(sim_.now(), 0.0);
-        // Deferred like submit's kick (see scheduleStart): a
-        // completion and new arrivals on the same tick must all be
-        // visible before the next pick. done() may enqueue more
-        // work this tick; it precedes the pick too.
-        scheduleStart();
-        cmd.done();
-    });
+    sim_.queue().schedule(
+        service,
+        [this, cmd = std::move(cmd)] {
+            latency_stats_.add(
+                static_cast<double>(sim_.now() - cmd.enqueued));
+            completed_.increment();
+            busy_ = false;
+            busy_integral_.set(sim_.now(), 0.0);
+            // Deferred like submit's kick (see scheduleStart): a
+            // completion and new arrivals on the same tick must all
+            // be visible before the next pick. done() may enqueue
+            // more work this tick; it precedes the pick too.
+            scheduleStart();
+            cmd.done();
+        },
+        sim::EventCategory::Disk);
 }
 
 double

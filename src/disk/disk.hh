@@ -33,6 +33,7 @@
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
+#include "sim/tick_arbiter.hh"
 #include "vi/fault_targets.hh"
 
 namespace v3sim::disk
@@ -95,7 +96,7 @@ class DiskStore
 
 /** One spindle with its command queue. Implements the injector's
  *  media-fault interface: latent sector errors and torn writes. */
-class Disk : public vi::MediaFaultTarget
+class Disk : public vi::MediaFaultTarget, private sim::TickArbiter
 {
   public:
     Disk(sim::Simulation &sim, DiskSpec spec, sim::Rng rng,
@@ -170,8 +171,8 @@ class Disk : public vi::MediaFaultTarget
     /** Picks the next command index per the scheduling policy. */
     size_t pickNext();
 
-    /** Schedules a zero-delay service-start pop (coalesced), so every
-     *  same-tick arrival is queued before the pick. */
+    /** Requests a service-start pick in the tick's arbiter dispatch,
+     *  so every same-tick arrival is queued before the pick. */
     void scheduleStart();
 
     void startNext();
@@ -193,7 +194,6 @@ class Disk : public vi::MediaFaultTarget
 
     std::deque<Command> queue_;
     bool busy_ = false;
-    bool start_scheduled_ = false;
     uint64_t head_pos_ = 0; ///< byte offset of the head
 
     /// Registry path prefix ("disk.<name>", uniquified); must precede

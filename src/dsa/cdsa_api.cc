@@ -8,11 +8,17 @@ CdsaApi::open(osmodel::Node &node, vi::ViNic &nic,
               net::PortId server_port, uint32_t volume,
               DsaConfig config)
 {
-    auto client = std::make_unique<DsaClient>(
-        DsaImpl::Cdsa, node, nic, server_port, volume, config);
-    if (!co_await client->connect())
-        co_return nullptr;
-    co_return std::unique_ptr<CdsaApi>(new CdsaApi(std::move(client)));
+    // The client is built here, at call time; the lambda coroutine
+    // only connects it. (A static member coroutine taking the client
+    // by value resumed a corrupt frame under GCC 12.)
+    return [](std::unique_ptr<DsaClient> client)
+               -> sim::Task<std::unique_ptr<CdsaApi>> {
+        if (!co_await client->connect())
+            co_return nullptr;
+        co_return std::unique_ptr<CdsaApi>(
+            new CdsaApi(std::move(client)));
+    }(std::make_unique<DsaClient>(DsaImpl::Cdsa, node, nic, server_port,
+                                  volume, config));
 }
 
 void

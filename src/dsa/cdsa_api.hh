@@ -97,7 +97,9 @@ struct CdsaStats
 class CdsaApi
 {
   public:
-    /** (1) open: connects the underlying DSA client. */
+    /** (1) open: builds the underlying DSA client now and returns the
+     *  task that connects it. The client registers tick arbiters, so
+     *  call this while building the model, not from an event. */
     static sim::Task<std::unique_ptr<CdsaApi>>
     open(osmodel::Node &node, vi::ViNic &nic, net::PortId server_port,
          uint32_t volume, DsaConfig config = {});

@@ -62,6 +62,8 @@ DsaClient::DsaClient(DsaImpl impl, osmodel::Node &node, vi::ViNic &nic,
                 std::string(dsaImplName(impl)) + ".lock"),
       vi_send_lock_(node.sim(), node.costs(), "vi.send"),
       vi_recv_lock_(node.sim(), node.costs(), "vi.recv"),
+      credits_(node.sim().queue(), 0),
+      staging_sem_(node.sim().queue(), 0),
       metric_prefix_(node.sim().metrics().uniquePrefix(
           clientPathSegment(impl, volume))),
       ios_(node.sim().metrics().counter(metric_prefix_ + ".ios")),
@@ -438,7 +440,7 @@ DsaClient::hint(HintKind kind, uint64_t offset, uint64_t len)
     if (dead_ || !ready_)
         co_return false;
 
-    co_await credits_->acquire(offset);
+    co_await credits_.acquire(offset);
 
     PendingIo io;
     io.id = next_id_++;
@@ -481,7 +483,7 @@ DsaClient::hint(HintKind kind, uint64_t offset, uint64_t len)
     flag_to_io_.erase(io.flag_index);
     outstanding_seqs_.erase(io.msg.seq);
     free_flags_.push_back(io.flag_index);
-    credits_->release();
+    credits_.release();
     co_return ok;
 }
 
@@ -499,17 +501,17 @@ DsaClient::submit(bool is_write, uint64_t offset, uint64_t len,
     // otherwise proceed onto the dead connection, where nothing can
     // ever complete it (the give-up path fails only I/Os already in
     // pending_, and the retransmit timer no-ops once dead_ is set).
-    co_await credits_->acquire(buffer);
+    co_await credits_.acquire(buffer);
     if (dead_) {
-        credits_->release();
+        credits_.release();
         co_return false;
     }
     uint32_t staging_slot = UINT32_MAX;
     if (is_write) {
-        co_await staging_sem_->acquire(buffer);
+        co_await staging_sem_.acquire(buffer);
         if (dead_) {
-            staging_sem_->release();
-            credits_->release();
+            staging_sem_.release();
+            credits_.release();
             co_return false;
         }
         staging_slot = free_staging_.back();
@@ -569,9 +571,9 @@ DsaClient::submit(bool is_write, uint64_t offset, uint64_t len,
     free_flags_.push_back(io.flag_index);
     if (is_write) {
         free_staging_.push_back(staging_slot);
-        staging_sem_->release();
+        staging_sem_.release();
     }
-    credits_->release();
+    credits_.release();
     ios_.increment();
     const double lat =
         static_cast<double>(node_.sim().now() - io.issued_at);
@@ -778,11 +780,10 @@ DsaClient::drainRecvCq(CpuLease lease, bool interrupt_context)
                 const HelloAckMsg &ack = msg->hello;
                 granted_credits_ = std::min(config_.max_outstanding,
                                             ack.request_credits);
-                if (!credits_) {
-                    credits_ = std::make_unique<sim::Semaphore>(
-                        node_.sim().queue(), granted_credits_);
-                    staging_sem_ = std::make_unique<sim::Semaphore>(
-                        node_.sim().queue(), ack.staging_slots);
+                if (!flow_sized_) {
+                    flow_sized_ = true;
+                    credits_.release(granted_credits_);
+                    staging_sem_.release(ack.staging_slots);
                     for (uint32_t i = 0; i < ack.staging_slots; ++i)
                         free_staging_.push_back(
                             ack.staging_slots - 1 - i);

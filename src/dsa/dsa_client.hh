@@ -315,9 +315,12 @@ class DsaClient : public BlockDevice
     sim::Addr flag_base_ = sim::kNullAddr;
     vi::MemHandle flag_handle_;
 
-    /** Flow control (sized by HelloAck). */
-    std::unique_ptr<sim::Semaphore> credits_;
-    std::unique_ptr<sim::Semaphore> staging_sem_;
+    /** Flow control: empty until the first HelloAck sizes it.
+     *  Built with the client, so their arbiter ids follow
+     *  construction order, not HelloAck arrival order. */
+    sim::Semaphore credits_;
+    sim::Semaphore staging_sem_;
+    bool flow_sized_ = false;
     std::vector<uint32_t> free_staging_;
     std::vector<uint32_t> free_flags_;
     sim::Addr staging_base_ = sim::kNullAddr;

@@ -80,11 +80,12 @@ Fabric::send(Packet packet, std::function<void()> on_wire)
          on_wire = std::move(on_wire)]() mutable {
             if (on_wire)
                 on_wire();
-            queue_.schedule(config_.propagation,
-                            [this, packet = std::move(packet)]()
-                                mutable {
-                                deliver(std::move(packet));
-                            });
+            queue_.schedule(
+                config_.propagation,
+                [this, packet = std::move(packet)]() mutable {
+                    deliver(std::move(packet));
+                },
+                sim::EventCategory::Fabric);
         },
         order_key);
 }

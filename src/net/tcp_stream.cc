@@ -11,7 +11,11 @@ TcpStream::TcpStream(sim::EventQueue &queue, Fabric &fabric,
                      sim::MetricRegistry &metrics,
                      std::string metric_prefix, std::string name,
                      TcpConfig config)
-    : queue_(queue), fabric_(fabric), config_(config),
+    : sim::TickArbiter(queue,
+                       [](sim::TickArbiter &self) {
+                           static_cast<TcpStream &>(self).flushStaged();
+                       }),
+      queue_(queue), fabric_(fabric), config_(config),
       metric_prefix_(std::move(metric_prefix)),
       cwnd_(config.initial_cwnd), ssthresh_(config.initial_ssthresh),
       segs_tx_(metrics.counter(metric_prefix_ + ".segs_tx")),
@@ -47,25 +51,21 @@ void
 TcpStream::sendMessage(TcpMessage message)
 {
     assert(connected_ && message.bytes > 0);
-    // Deferred to the tick's final band: sequence numbers freeze
-    // message order into the byte stream, and same-tick senders
-    // arrive in tie-shuffled order (DESIGN.md §8.3). Gathering the
-    // tick's messages and sequencing them by order_key makes the
-    // stream a function of the contender set. Zero simulated time
-    // passes before the flush, so timing is unchanged.
+    // Deferred to the tick's arbiter dispatch: sequence numbers
+    // freeze message order into the byte stream, and same-tick
+    // senders arrive in tie-shuffled order (DESIGN.md §8.3).
+    // Gathering the tick's messages and sequencing them by order_key
+    // makes the stream a function of the contender set. Zero
+    // simulated time passes before the flush, so timing is unchanged.
     tx_staged_.push_back(std::move(message));
-    if (!tx_flush_scheduled_) {
-        tx_flush_scheduled_ = true;
-        queue_.scheduleFinal([this] { flushStaged(); });
-    }
+    markDirty();
 }
 
 void
 TcpStream::flushStaged()
 {
-    // Cleared first: a handler resumed downstream may send again this
-    // tick, scheduling a fresh (later) final-band batch.
-    tx_flush_scheduled_ = false;
+    // Taken first: a handler resumed downstream may send again this
+    // tick, which marks the stream for another flush.
     std::vector<TcpMessage> batch = std::move(tx_staged_);
     tx_staged_.clear();
     // stable_sort: equal keys keep submission order, per the same

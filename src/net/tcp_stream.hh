@@ -73,6 +73,7 @@
 #include "sim/event_queue.hh"
 #include "sim/metrics.hh"
 #include "sim/task.hh"
+#include "sim/tick_arbiter.hh"
 #include "sim/types.hh"
 
 namespace v3sim::net
@@ -142,7 +143,7 @@ struct TcpMessage
  * listen() on one, co_await connect(peer.port()) on the other, then
  * exchange messages.
  */
-class TcpStream
+class TcpStream : private sim::TickArbiter
 {
   public:
     using MessageHandler = std::function<void(TcpMessage)>;
@@ -273,6 +274,7 @@ class TcpStream
     };
 
     void onPacket(Packet packet);
+    /** Sequencing pass (the arbiter hook). */
     void flushStaged();
     void handlePacket(const Packet &packet, Work &work);
     void handleData(const Seg &seg, bool wire_tainted, Work &work);
@@ -298,10 +300,9 @@ class TcpStream
     sim::Completion<> connect_done_;
 
     // Transmit state (segment-granularity sequence space).
-    /** Same-tick sendMessage() calls awaiting the final-band
-     *  sequencing pass (sorted by order_key there). */
+    /** Same-tick sendMessage() calls awaiting the sequencing pass
+     *  (sorted by order_key there). */
     std::vector<TcpMessage> tx_staged_;
-    bool tx_flush_scheduled_ = false;
     std::deque<TxMsg> tx_msgs_;
     uint64_t tx_next_seq_ = 0; ///< First seq past the queued messages.
     uint64_t snd_una_ = 0;

@@ -21,7 +21,11 @@ cpuCatName(CpuCat cat)
 }
 
 CpuPool::CpuPool(sim::Simulation &sim, int cpus, std::string name)
-    : sim_(sim), cpus_(cpus), name_(std::move(name))
+    : sim::TickArbiter(sim.queue(),
+                       [](sim::TickArbiter &self) {
+                           static_cast<CpuPool &>(self).arbitrate();
+                       }),
+      sim_(sim), cpus_(cpus), name_(std::move(name))
 {
     assert(cpus >= 1);
 
@@ -49,10 +53,10 @@ CpuPool::park(std::coroutine_handle<> h, int priority,
     const Waiter w{h, priority, order_key, next_seq_++};
     waiters_.insert(
         std::upper_bound(waiters_.begin(), waiters_.end(), w), w);
-    if (!arb_scheduled_) {
-        arb_scheduled_ = true;
-        sim_.queue().scheduleFinal([this] { arbitrate(); });
-    }
+    // On a full pool a pass could grant nothing; the release() that
+    // frees a CPU requests it.
+    if (busy_ < cpus_)
+        markDirty();
 }
 
 void
@@ -62,19 +66,14 @@ CpuPool::release()
     --busy_;
     // Freed capacity is not handed to the front waiter directly —
     // that would serve same-tick contenders in arrival order. The
-    // final-band arbitration re-grants it against the full set.
-    if (!waiters_.empty() && !arb_scheduled_) {
-        arb_scheduled_ = true;
-        sim_.queue().scheduleFinal([this] { arbitrate(); });
-    }
+    // tick's grant pass re-grants it against the full set.
+    if (!waiters_.empty())
+        markDirty();
 }
 
 void
 CpuPool::arbitrate()
 {
-    // Clear the flag first: a waiter resumed below may release and
-    // need a fresh arbitration pass later this same tick.
-    arb_scheduled_ = false;
     while (busy_ < cpus_ && !waiters_.empty()) {
         const Waiter w = waiters_.front();
         waiters_.erase(waiters_.begin());

@@ -41,6 +41,7 @@
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
+#include "sim/tick_arbiter.hh"
 #include "sim/types.hh"
 
 namespace v3sim::osmodel
@@ -93,15 +94,17 @@ class CpuLease
  * (DESIGN.md §8.3): when same-tick demand exceeds free CPUs, *which*
  * contender runs first must be a function of the contender set, not
  * of the (unspecified, tie-shuffled) order their acquire events
- * fired in. So no acquire is granted inline: every waiter parks and
- * a single final-band arbitration event per tick grants free CPUs in
- * (priority, order_key, arrival) order — same tick, zero simulated
- * latency, but a deterministic assignment. Callers whose acquires
- * can collide on one tick pass distinct `order_key`s (worker id,
- * request tag); the arrival-sequence tiebreak only decides between
- * same-key contenders.
+ * fired in. So no acquire is granted inline: every waiter parks, and
+ * the pool's grant pass runs in the tick's arbiter dispatch
+ * (sim::TickArbiter), granting free CPUs in (priority, order_key,
+ * arrival) order — same tick, zero simulated latency, but a
+ * deterministic assignment. A park on a full pool requests no pass:
+ * the release() that frees a CPU does. Callers whose acquires can
+ * collide on one tick pass distinct `order_key`s (worker id, request
+ * tag); the arrival-sequence tiebreak only decides between same-key
+ * contenders.
  */
-class CpuPool
+class CpuPool : private sim::TickArbiter
 {
   public:
     static constexpr int kInterruptPriority = 0;
@@ -117,9 +120,10 @@ class CpuPool
     const std::string &name() const { return name_; }
 
     /**
-     * Awaitable: resumes holding a CPU, granted in this tick's final
-     * band. Interrupt-priority waiters are admitted before normal
-     * ones; ties broken by @p order_key, then arrival.
+     * Awaitable: resumes holding a CPU, granted in this tick's
+     * arbiter dispatch at the earliest. Interrupt-priority waiters
+     * are admitted before normal ones; ties broken by @p order_key,
+     * then arrival.
      */
     auto
     acquire(int priority = kNormalPriority, uint64_t order_key = 0)
@@ -143,8 +147,8 @@ class CpuPool
         return Awaiter{this, priority, order_key};
     }
 
-    /** Returns the CPU; freed capacity is re-granted in the final
-     *  band. */
+    /** Returns the CPU; freed capacity is re-granted in the tick's
+     *  arbiter dispatch. */
     void release();
 
     /** A busy interval [start, end) charged to @p cat. The start may
@@ -224,7 +228,8 @@ class CpuPool
 
     void park(std::coroutine_handle<> h, int priority,
               uint64_t order_key);
-    /** Final-band grant pass: admits waiters while CPUs are free. */
+    /** Grant pass (the arbiter hook): admits waiters while CPUs are
+     *  free. */
     void arbitrate();
 
     sim::Simulation &sim_;
@@ -233,7 +238,6 @@ class CpuPool
     int busy_ = 0;
     std::vector<Waiter> waiters_; ///< kept sorted (insertion sort)
     uint64_t next_seq_ = 0;
-    bool arb_scheduled_ = false;
     /** Completed-run time per category (excludes active runs). */
     std::array<sim::Tick, kCpuCatCount> busy_time_{};
     /** Open intervals; a few per CPU (runs hold a lease). */
@@ -260,10 +264,13 @@ CpuLease::run(sim::Tick d, CpuCat cat)
             CpuPool *pool = lease->pool_;
             const sim::Tick now = pool->sim_.now();
             CpuPool::Run *run = pool->beginRun(cat, now, now + d);
-            pool->sim_.queue().schedule(d, [pool, run, h] {
-                pool->endRun(run);
-                h.resume();
-            });
+            pool->sim_.queue().schedule(
+                d,
+                [pool, run, h] {
+                    pool->endRun(run);
+                    h.resume();
+                },
+                sim::EventCategory::CpuRun);
         }
 
         void await_resume() const {}

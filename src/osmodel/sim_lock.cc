@@ -9,7 +9,11 @@ namespace v3sim::osmodel
 
 SimLock::SimLock(sim::Simulation &sim, const HostCosts &costs,
                  std::string name)
-    : sim_(sim), costs_(costs), name_(std::move(name))
+    : sim::TickArbiter(sim.queue(),
+                       [](sim::TickArbiter &self) {
+                           static_cast<SimLock &>(self).exitDue();
+                       }),
+      sim_(sim), costs_(costs), name_(std::move(name))
 {}
 
 sim::Task<>
@@ -169,12 +173,28 @@ SimLock::armExit(Batch &batch)
         return;
     batch.armed = first;
     const uint64_t id = batch.id;
-    // An exit on the current tick happens in the final band, so the
-    // batch stays open to every same-tick contender (DESIGN.md §8.3).
-    if (first > sim_.now())
-        sim_.queue().scheduleAt(first, [this, id] { onExit(id); });
-    else
-        sim_.queue().scheduleFinal([this, id] { onExit(id); });
+    // An exit on the current tick happens in the arbiter dispatch,
+    // so the batch stays open to every same-tick contender
+    // (DESIGN.md §8.3).
+    if (first > sim_.now()) {
+        sim_.queue().scheduleAt(
+            first, [this, id] { onExit(id); },
+            sim::EventCategory::LockExit);
+    } else {
+        if (due_.empty())
+            markDirty();
+        due_.push_back(id);
+    }
+}
+
+void
+SimLock::exitDue()
+{
+    // By index: a resumed member may call back into the lock and
+    // arm another exit on this tick, which appends here.
+    for (size_t i = 0; i < due_.size(); ++i)
+        onExit(due_[i]);
+    due_.clear();
 }
 
 void

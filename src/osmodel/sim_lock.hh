@@ -54,6 +54,7 @@
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
+#include "sim/tick_arbiter.hh"
 
 namespace v3sim::osmodel
 {
@@ -82,7 +83,7 @@ struct Charges
 };
 
 /** One kernel/library lock; batch-fair, spin-wait semantics. */
-class SimLock
+class SimLock : private sim::TickArbiter
 {
   public:
     SimLock(sim::Simulation &sim, const HostCosts &costs,
@@ -163,12 +164,18 @@ class SimLock
     /** Resumes the members of batch @p id that exit now, or re-arms
      *  at the first moved-out exit. */
     void onExit(uint64_t id);
+    /** Arbiter hook: runs the exits armed on the current tick. */
+    void exitDue();
 
     sim::Simulation &sim_;
     const HostCosts &costs_;
     std::string name_;
     /** Batches with members still inside, sorted by arrival. */
     std::vector<Batch> batches_;
+    /** Ids of batches whose exit falls on the current tick, run by
+     *  exitDue() so the batch stays open to every same-tick
+     *  contender. */
+    std::vector<uint64_t> due_;
     uint64_t next_id_ = 0;
     sim::Counter acquisitions_;
     sim::Counter contended_;

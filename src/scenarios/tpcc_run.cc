@@ -152,7 +152,13 @@ runTpcc(const TpccRunConfig &config)
     for (auto &init : testbed.iscsiInitiators())
         result.retransmits += init->tcp().retransmitCount();
     result.metrics_json = testbed.sim().metrics().toJson();
-    result.events_fired = testbed.sim().queue().firedCount();
+    const sim::EventQueue &queue = testbed.sim().queue();
+    result.events_fired = queue.firedCount();
+    for (size_t c = 0; c < sim::kEventCategoryCount; ++c) {
+        result.events_by_category[c] =
+            queue.firedCount(static_cast<sim::EventCategory>(c));
+    }
+    result.dispatch_ticks = queue.dispatchTicks();
     result.sim_elapsed = testbed.sim().now();
     return result;
 }

@@ -70,6 +70,10 @@ struct TpccRunResult
      *  run's EventQueue fired and the simulated time it covered. */
     uint64_t events_fired = 0;
     sim::Tick sim_elapsed = 0;
+    /** events_fired split by scheduling site, and the ticks that ran
+     *  at least one TickArbiter dispatch. */
+    std::array<uint64_t, sim::kEventCategoryCount> events_by_category{};
+    uint64_t dispatch_ticks = 0;
     /** Full MetricRegistry snapshot (JSON), rendered before the
      *  testbed is torn down; benches attach it to their artifact. */
     std::string metrics_json;

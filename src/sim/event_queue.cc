@@ -1,7 +1,11 @@
 #include "event_queue.hh"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 #include <utility>
+
+#include "sim/tick_arbiter.hh"
 
 namespace v3sim::sim
 {
@@ -20,6 +24,23 @@ mix64(uint64_t x)
 }
 
 } // namespace
+
+const char *
+eventCategoryName(EventCategory cat)
+{
+    switch (cat) {
+      case EventCategory::Other: return "other";
+      case EventCategory::CpuRun: return "cpu_run";
+      case EventCategory::LockExit: return "lock_exit";
+      case EventCategory::PoolDone: return "server_pool";
+      case EventCategory::TickDispatch: return "tick_dispatch";
+      case EventCategory::Fabric: return "fabric";
+      case EventCategory::Disk: return "disk";
+      case EventCategory::Sleep: return "sleep";
+      case EventCategory::FinalBand: return "final_band";
+    }
+    return "?";
+}
 
 uint64_t
 EventQueue::tieRank(Tick when, uint64_t seq) const
@@ -115,7 +136,7 @@ EventQueue::place(Event *event)
 
 void
 EventQueue::insertNew(Tick when, uint64_t tie, uint64_t seq,
-                      EventFn fn, uint32_t control)
+                      EventFn fn, uint32_t control, EventCategory cat)
 {
     Event *event = allocEvent();
     event->when = when;
@@ -123,37 +144,103 @@ EventQueue::insertNew(Tick when, uint64_t tie, uint64_t seq,
     event->seq = seq;
     event->next = nullptr;
     event->control = control;
+    event->category = cat;
     event->fn = std::move(fn);
     place(event);
     ++pending_;
 }
 
 void
-EventQueue::schedule(Tick delay, EventFn fn)
+EventQueue::schedule(Tick delay, EventFn fn, EventCategory cat)
 {
     if (delay < 0)
         delay = 0;
-    scheduleAt(now_ + delay, std::move(fn));
+    scheduleAt(now_ + delay, std::move(fn), cat);
 }
 
 void
-EventQueue::scheduleAt(Tick when, EventFn fn)
+EventQueue::scheduleAt(Tick when, EventFn fn, EventCategory cat)
 {
     if (when < now_)
         when = now_;
     const uint64_t seq = next_seq_++;
-    insertNew(when, tieRank(when, seq), seq, std::move(fn),
-              kNoControl);
+    insertNew(when, tieRank(when, seq), seq, std::move(fn), kNoControl,
+              cat);
 }
 
 void
-EventQueue::scheduleFinal(EventFn fn)
+EventQueue::scheduleFinal(EventFn fn, EventCategory cat)
 {
     const uint64_t seq = next_seq_++;
     // The final band tops both the hashed ranks (< 2^63) and the
     // zero-delay sequenced band (2^63 | seq), in shuffle and FIFO
     // modes alike, so final events always close out their tick.
-    insertNew(now_, kFinalBase | seq, seq, std::move(fn), kNoControl);
+    // kFinalBase itself is the dispatch's rank.
+    insertNew(now_, kFinalBase + 1 + seq, seq, std::move(fn),
+              kNoControl, cat);
+}
+
+uint32_t
+EventQueue::enroll(TickArbiter *arbiter)
+{
+    // Ids are handed out in registration order and drive the dispatch
+    // order; registrations from events would take the tie-shuffled
+    // order of those events, so arbiters are built with the model.
+    assert(!firing_ && "TickArbiter registered from an event");
+    arbiters_.push_back(arbiter);
+    return static_cast<uint32_t>(arbiters_.size() - 1);
+}
+
+void
+EventQueue::withdraw(uint32_t id)
+{
+    // A dirty id left in the heap finds the empty slot and is skipped.
+    arbiters_[id] = nullptr;
+}
+
+void
+EventQueue::markDirty(TickArbiter &arbiter)
+{
+    arbiter.dirty_ = true;
+    dirty_ids_.push_back(arbiter.id_);
+    std::push_heap(dirty_ids_.begin(), dirty_ids_.end(),
+                   std::greater<>{});
+    if (!dispatch_pending_) {
+        dispatch_pending_ = true;
+        // Ahead of the tick's other final events (finalBand()
+        // awaiters), however early those were scheduled: which came
+        // first is a same-tick arrival order, and the checks they
+        // make should see the tick's grants.
+        const uint64_t seq = next_seq_++;
+        insertNew(now_, kFinalBase, seq, [this] { dispatch(); },
+                  kNoControl, EventCategory::TickDispatch);
+    }
+}
+
+void
+EventQueue::dispatch()
+{
+    if (now_ != last_dispatch_at_) {
+        last_dispatch_at_ = now_;
+        ++dispatch_ticks_;
+    }
+    // Lowest id first, re-reading the heap after every pass: an
+    // arbiter marked by a pass (itself included) runs again in this
+    // event, in id order among whatever else is dirty.
+    while (!dirty_ids_.empty()) {
+        std::pop_heap(dirty_ids_.begin(), dirty_ids_.end(),
+                      std::greater<>{});
+        const uint32_t id = dirty_ids_.back();
+        dirty_ids_.pop_back();
+        TickArbiter *arbiter = arbiters_[id];
+        if (arbiter == nullptr)
+            continue;
+        // Cleared first, so the pass may mark itself again.
+        arbiter->dirty_ = false;
+        arbiter->hook_(*arbiter);
+    }
+    // Marks from this event's zero-delay spawns need a new dispatch.
+    dispatch_pending_ = false;
 }
 
 EventQueue::Handle
@@ -171,7 +258,8 @@ EventQueue::scheduleAtCancelable(Tick when, EventFn fn)
         when = now_;
     const uint32_t slot = allocControl();
     const uint64_t seq = next_seq_++;
-    insertNew(when, tieRank(when, seq), seq, std::move(fn), slot);
+    insertNew(when, tieRank(when, seq), seq, std::move(fn), slot,
+              EventCategory::Other);
     return Handle(this, slot, controls_[slot].gen);
 }
 
@@ -265,11 +353,17 @@ EventQueue::fireNext()
     if (event->control != kNoControl)
         cancelled = releaseControl(event->control);
     if (!cancelled) {
-        ++fired_total_;
+        ++fired_by_cat_[static_cast<size_t>(event->category)];
         // The event is already detached from every structure, so the
         // callback may freely schedule (and pool-allocate) more
         // events; its storage is recycled only after it returns.
+#ifndef NDEBUG
+        firing_ = true;
         event->fn();
+        firing_ = false;
+#else
+        event->fn();
+#endif
     }
     releaseEvent(event);
 }

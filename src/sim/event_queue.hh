@@ -45,6 +45,7 @@
 #ifndef V3SIM_SIM_EVENT_QUEUE_HH
 #define V3SIM_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -56,6 +57,31 @@
 
 namespace v3sim::sim
 {
+
+class TickArbiter;
+
+/**
+ * What a scheduling site is, for per-category fired-event counts
+ * (bench/selftime). A static one-byte tag stored in the pooled event;
+ * the hot path never touches a string.
+ */
+enum class EventCategory : uint8_t
+{
+    Other,        ///< every untagged site
+    CpuRun,       ///< CpuLease::run completion
+    LockExit,     ///< SimLock batch exit
+    PoolDone,     ///< ServerPool job completion
+    TickDispatch, ///< the tick's TickArbiter dispatch
+    Fabric,       ///< Fabric packet delivery
+    Disk,         ///< disk command completion
+    Sleep,        ///< sim::delay / Simulation::sleep resume
+    FinalBand,    ///< EventQueue::finalBand() awaiter resume
+};
+
+constexpr size_t kEventCategoryCount = 9;
+
+/** Stable lowercase name (artifact row key) of @p cat. */
+const char *eventCategoryName(EventCategory cat);
 
 /** Deterministic ladder queue of timed callbacks. */
 class EventQueue
@@ -121,11 +147,13 @@ class EventQueue
      * slot, and — for callables within EventFn's inline budget — no
      * allocation.
      */
-    void schedule(Tick delay, EventFn fn);
+    void schedule(Tick delay, EventFn fn,
+                  EventCategory cat = EventCategory::Other);
 
     /** Schedules @p fn at absolute time @p when (>= now, else
      *  clamped). Fire-and-forget, like schedule(). */
-    void scheduleAt(Tick when, EventFn fn);
+    void scheduleAt(Tick when, EventFn fn,
+                    EventCategory cat = EventCategory::Other);
 
     /**
      * Schedules @p fn in the current tick's *final band*: it fires
@@ -133,16 +161,19 @@ class EventQueue
      * be scheduled, zero-delay chains included — with FIFO order
      * among final events themselves. Zero-delay events spawned *by* a
      * final event still precede the remaining final events of the
-     * tick, so an arbitration callback sees the effects of the chains
-     * it races with.
+     * tick, so a final callback sees the effects of the chains it
+     * races with.
      *
-     * This is the hook for contention arbitration points whose grant
-     * cannot be undone (disk queue pick, CPU grant): deciding in the
-     * final band makes the decision a function of the *set* of
-     * same-tick contenders rather than of their (unspecified,
-     * tie-shuffled) arrival order. See DESIGN.md §8.3.
+     * The tick's sim::TickArbiter dispatch is the one exception to
+     * FIFO: it opens the band, firing before every other final event
+     * of its tick whenever it was scheduled, so contention points
+     * have decided before any final-band check looks. Model
+     * components never call this: a contention point whose grant
+     * cannot be undone marks its TickArbiter dirty. The in-tree
+     * caller is finalBand(). See DESIGN.md §8.3.
      */
-    void scheduleFinal(EventFn fn);
+    void scheduleFinal(EventFn fn,
+                       EventCategory cat = EventCategory::Other);
 
     /**
      * Awaitable form of scheduleFinal(): resumes the coroutine in the
@@ -165,7 +196,8 @@ class EventQueue
             void
             await_suspend(std::coroutine_handle<> h) const
             {
-                queue->scheduleFinal([h] { h.resume(); });
+                queue->scheduleFinal([h] { h.resume(); },
+                                     EventCategory::FinalBand);
             }
 
             void await_resume() const {}
@@ -200,8 +232,28 @@ class EventQueue
      */
     size_t runUntil(Tick until);
 
-    /** Total events fired over the queue's lifetime. */
-    uint64_t firedCount() const { return fired_total_; }
+    /** Total events fired over the queue's lifetime (the sum over
+     *  categories: firing an event bumps one tally, not two). */
+    uint64_t
+    firedCount() const
+    {
+        uint64_t total = 0;
+        for (const uint64_t n : fired_by_cat_)
+            total += n;
+        return total;
+    }
+
+    /** Events of category @p cat fired over the queue's lifetime. */
+    uint64_t
+    firedCount(EventCategory cat) const
+    {
+        return fired_by_cat_[static_cast<size_t>(cat)];
+    }
+
+    /** Distinct ticks on which at least one TickArbiter dispatch
+     *  fired. Against firedCount(TickDispatch) it shows how many
+     *  ticks needed a second dispatch. */
+    uint64_t dispatchTicks() const { return dispatch_ticks_; }
 
     /** Popped events (cancelled included) that shared their tick with
      *  the previously popped event — the same-tick ties whose order
@@ -255,8 +307,13 @@ class EventQueue
         Event *next;
         /** Index into controls_, or kNoControl (fast path). */
         uint32_t control;
+        /** Scheduling site, for the per-category counts. */
+        EventCategory category;
         EventFn fn;
     };
+    // The category rides in the padding after `control`.
+    static_assert(sizeof(Event) == 128,
+                  "the pooled Event must stay two cache lines");
 
     /** Generation-counted cancellation slot. The generation bumps
      *  every time the slot's event pops (fired or cancelled), so
@@ -283,7 +340,9 @@ class EventQueue
     /** Events per pool chunk. */
     static constexpr size_t kPoolChunk = 256;
 
-    /** Tie-rank band bases (see tie-shuffle model above). */
+    /** Tie-rank band bases (see tie-shuffle model above). The
+     *  tick's arbiter dispatch takes kFinalBase itself, the lowest
+     *  final rank; other final events rank above it. */
     static constexpr uint64_t kSequencedBase = 1ULL << 63;
     static constexpr uint64_t kFinalBase = 3ULL << 62;
 
@@ -341,7 +400,7 @@ class EventQueue
     bool releaseControl(uint32_t slot);
 
     void insertNew(Tick when, uint64_t tie, uint64_t seq, EventFn fn,
-                   uint32_t control);
+                   uint32_t control, EventCategory cat);
     /** Region dispatch: bottom heap / bucket ring / overflow. */
     void place(Event *event);
     /** Moves overflow events with bucket index <= @p limit into the
@@ -354,6 +413,21 @@ class EventQueue
     bool advance();
     /** Pops and fires the next event. Precondition: advance(). */
     void fireNext();
+
+    /** @name TickArbiter registry (see sim/tick_arbiter.hh) @{ */
+    friend class TickArbiter;
+    /** Registers @p arbiter; returns its id (registration order).
+     *  Debug builds assert that no event callback is running. */
+    uint32_t enroll(TickArbiter *arbiter);
+    /** Forgets arbiter @p id (its slot stays, so ids never move). */
+    void withdraw(uint32_t id);
+    /** Marks @p arbiter dirty; the first mark outside a dispatch
+     *  schedules one, at the head of the tick's final band. */
+    void markDirty(TickArbiter &arbiter);
+    /** The dispatch event: runs dirty arbiters, lowest id first,
+     *  until none is dirty. */
+    void dispatch();
+    /** @} */
 
     bool
     slotPending(uint32_t slot, uint32_t gen) const
@@ -393,11 +467,25 @@ class EventQueue
     Tick now_ = 0;
     uint64_t next_seq_ = 0;
     size_t pending_ = 0;
-    uint64_t fired_total_ = 0;
     uint64_t same_tick_fired_ = 0;
     Tick last_fired_at_ = -1;
     bool tie_shuffle_ = false;
     uint64_t tie_seed_ = 0;
+    std::array<uint64_t, kEventCategoryCount> fired_by_cat_{};
+
+    /** An event callback is running (kept by debug builds only, for
+     *  enroll()'s check). */
+    bool firing_ = false;
+    /** Registered arbiters by id; withdrawn slots hold nullptr and
+     *  are never reused, since a reused id would break registration
+     *  order. */
+    std::vector<TickArbiter *> arbiters_;
+    /** Min-heap of the ids of dirty arbiters. */
+    std::vector<uint32_t> dirty_ids_;
+    /** A dispatch event is queued or running. */
+    bool dispatch_pending_ = false;
+    Tick last_dispatch_at_ = -1;
+    uint64_t dispatch_ticks_ = 0;
 };
 
 } // namespace v3sim::sim

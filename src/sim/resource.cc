@@ -7,7 +7,11 @@ namespace v3sim::sim
 {
 
 ServerPool::ServerPool(EventQueue &queue, int servers, std::string name)
-    : queue_(queue), servers_(servers), name_(std::move(name))
+    : TickArbiter(queue,
+                  [](TickArbiter &self) {
+                      static_cast<ServerPool &>(self).completeDue();
+                  }),
+      queue_(queue), servers_(servers), name_(std::move(name))
 {
     assert(servers >= 1);
     busy_integral_.reset(queue_.now(), 0.0);
@@ -108,13 +112,29 @@ ServerPool::runJob(Job *job)
     job->started = queue_.now();
     if (job->enqueued == job->started)
         provisional().push_back(job);
-    const auto fire = [this, job, gen = job->gen] { onJobDone(job, gen); };
-    // A zero-service job completes in the final band, so it stays
-    // displaceable until every same-tick job has been submitted.
-    if (job->service > 0)
-        queue_.schedule(job->service, fire);
-    else
-        queue_.scheduleFinal(fire);
+    // A zero-service job completes in the arbiter dispatch, so it
+    // stays displaceable until every same-tick job has been
+    // submitted. A job due while completeDue() runs joins its pass.
+    if (job->service > 0) {
+        queue_.schedule(
+            job->service,
+            [this, job, gen = job->gen] { onJobDone(job, gen); },
+            EventCategory::PoolDone);
+    } else {
+        if (due_.empty())
+            markDirty();
+        due_.push_back(Due{job, job->gen});
+    }
+}
+
+void
+ServerPool::completeDue()
+{
+    // By index: a completion may start or submit zero-service jobs,
+    // which append here.
+    for (size_t i = 0; i < due_.size(); ++i)
+        onJobDone(due_[i].job, due_[i].gen);
+    due_.clear();
 }
 
 void

@@ -37,6 +37,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
+#include "sim/tick_arbiter.hh"
 #include "sim/types.hh"
 
 namespace v3sim::sim
@@ -46,7 +47,7 @@ namespace v3sim::sim
  * m identical servers with a FIFO queue. Jobs carry their own service
  * time; completion is signalled by callback or by awaiting use().
  */
-class ServerPool
+class ServerPool : private TickArbiter
 {
   public:
     /**
@@ -61,7 +62,7 @@ class ServerPool
      * job starts now if a server is free, or if it sorts before a
      * job started this tick, whose server it then takes; same-tick
      * submissions are ordered by @p order_key, then submission. A
-     * zero-service job completes in this tick's final band.
+     * zero-service job completes in this tick's arbiter dispatch.
      */
     void submit(Tick service, EventFn done, uint64_t order_key = 0);
 
@@ -140,6 +141,15 @@ class ServerPool
     /** Running jobs enqueued and started this tick (displaceable). */
     std::vector<Job *> &provisional();
     void onJobDone(Job *job, uint32_t gen);
+    /** Arbiter hook: completes the zero-service jobs due this tick. */
+    void completeDue();
+
+    /** A started zero-service job, completed by completeDue(). */
+    struct Due
+    {
+        Job *job;
+        uint32_t gen;
+    };
 
     EventQueue &queue_;
     int servers_;
@@ -150,6 +160,7 @@ class ServerPool
     std::deque<Job *> waiting_;
     std::vector<Job *> provisional_;
     Tick provisional_tick_ = -1;
+    std::vector<Due> due_;
     uint64_t next_seq_ = 0;
     /** Slab owning every Job node (deque: stable addresses). */
     std::deque<Job> slab_;
@@ -160,21 +171,26 @@ class ServerPool
 };
 
 /**
- * Counted semaphore with coroutine acquire and final-band granting.
+ * Counted semaphore with coroutine acquire and dispatch-time granting.
  *
  * Determinism (DESIGN.md §8.3): an inline fast path would hand the
  * last count to whichever same-tick acquirer happened to run first —
  * arrival order, which the tie-shuffle permutes. Every acquire
- * therefore parks, and counts are granted in one final-band pass per
- * tick ordered by (order_key, park order). Acquirers pass a
- * content-derived key (buffer address, request offset); distinct
- * ticks keep strict FIFO because earlier parks carry smaller seqs.
+ * therefore parks, and counts are granted by the semaphore's pass in
+ * the tick's arbiter dispatch (TickArbiter), ordered by (order_key,
+ * park order). Acquirers pass a content-derived key (buffer address,
+ * request offset); distinct ticks keep strict FIFO because earlier
+ * parks carry smaller seqs.
  */
-class Semaphore
+class Semaphore : private TickArbiter
 {
   public:
     Semaphore(EventQueue &queue, int64_t initial)
-        : queue_(queue), count_(initial)
+        : TickArbiter(queue,
+                      [](TickArbiter &self) {
+                          static_cast<Semaphore &>(self).grant();
+                      }),
+          count_(initial)
     {
         assert(initial >= 0);
     }
@@ -187,8 +203,9 @@ class Semaphore
 
     /**
      * Awaitable acquire of one count. Grants happen in this tick's
-     * final band at the earliest; same-tick acquirers are ordered by
-     * @p order_key (content, never arrival order), then park order.
+     * arbiter dispatch at the earliest; same-tick acquirers are
+     * ordered by @p order_key (content, never arrival order), then
+     * park order.
      */
     auto
     acquire(uint64_t order_key = 0)
@@ -211,13 +228,13 @@ class Semaphore
         return Awaiter{this, order_key};
     }
 
-    /** Returns @p n counts; waiters are granted in the final band. */
+    /** Returns @p n counts; waiters are granted in the dispatch. */
     void
     release(int64_t n = 1)
     {
         count_ += n;
         if (!waiters_.empty())
-            scheduleGrant();
+            markDirty();
     }
 
   private:
@@ -242,23 +259,14 @@ class Semaphore
         const Waiter w{h, order_key, next_seq_++};
         waiters_.insert(
             std::upper_bound(waiters_.begin(), waiters_.end(), w), w);
-        scheduleGrant();
+        markDirty();
     }
 
-    void
-    scheduleGrant()
-    {
-        if (grant_scheduled_)
-            return;
-        grant_scheduled_ = true;
-        queue_.scheduleFinal([this] { grant(); });
-    }
-
+    /** Grant pass (the arbiter hook). A resumed waiter may release()
+     *  and re-park; that marks the semaphore for another pass. */
     void
     grant()
     {
-        // Cleared first: a resumed waiter may release() and re-park.
-        grant_scheduled_ = false;
         while (count_ > 0 && !waiters_.empty()) {
             const Waiter w = waiters_.front();
             waiters_.erase(waiters_.begin());
@@ -267,11 +275,9 @@ class Semaphore
         }
     }
 
-    EventQueue &queue_;
     int64_t count_;
     std::vector<Waiter> waiters_;
     uint64_t next_seq_ = 0;
-    bool grant_scheduled_ = false;
 };
 
 } // namespace v3sim::sim

@@ -349,7 +349,7 @@ struct DelayAwaiter
     void
     await_suspend(std::coroutine_handle<> h) const
     {
-        queue.schedule(d, [h] { h.resume(); });
+        queue.schedule(d, [h] { h.resume(); }, EventCategory::Sleep);
     }
 
     void await_resume() const {}

@@ -10,7 +10,11 @@ namespace v3sim::storage
 AdmissionGate::AdmissionGate(sim::Simulation &sim,
                              const std::string &prefix,
                              AdmissionConfig config)
-    : sim_(sim), queue_(config),
+    : sim::TickArbiter(sim.queue(),
+                       [](sim::TickArbiter &self) {
+                           static_cast<AdmissionGate &>(self).pass();
+                       }),
+      sim_(sim), queue_(config),
       admitted_(
           sim.metrics().counter(prefix + ".admission_admitted")),
       queued_ct_(
@@ -26,7 +30,7 @@ AdmissionGate::admit(uint64_t tenant, uint64_t cost,
     if (!enabled())
         co_return true;
     // The waiter lives on this coroutine's frame; it is staged for
-    // the tick's final-band pass, which makes the Admit/Queue/Shed
+    // the tick's decision pass, which makes the Admit/Queue/Shed
     // decision over the full same-tick contender set in order_key
     // order (DESIGN.md §8.3) and fires ready.
     Waiter waiter;
@@ -35,7 +39,7 @@ AdmissionGate::admit(uint64_t tenant, uint64_t cost,
     waiter.order_key = order_key;
     const sim::Tick enter = sim_.now();
     staged_.push_back(&waiter);
-    schedulePass();
+    markDirty();
     co_await waiter.ready.wait();
     if (waiter.queued &&
         waiter.decision == AdmissionQueue::Decision::Admit)
@@ -49,23 +53,12 @@ AdmissionGate::release()
     if (!enabled())
         return;
     queue_.release();
-    schedulePass();
-}
-
-void
-AdmissionGate::schedulePass()
-{
-    if (pass_scheduled_)
-        return;
-    pass_scheduled_ = true;
-    sim_.queue().scheduleFinal([this] { pass(); });
+    markDirty();
 }
 
 void
 AdmissionGate::pass()
 {
-    pass_scheduled_ = false;
-
     // Offers first, sorted by content key: the tick's arrivals join
     // the contender set before any freed slot is re-filled, so the
     // DRR scheduler — not intra-tick arrival order — decides who

@@ -5,8 +5,8 @@
  *
  * The wrapper supplies the determinism discipline the queue itself
  * leaves to the caller (admission.hh): every Admit/Queue/Shed
- * decision is deferred to a single final-band pass per tick, which
- * offers the tick's arrivals to the queue in content-key order and
+ * decision is deferred to the gate's pass in the tick's arbiter
+ * dispatch (sim::TickArbiter), which offers the tick's arrivals to the queue in content-key order and
  * only then refills freed service slots from the DRR backlog — so
  * outcomes are functions of the same-tick contender *set*, never of
  * intra-tick arrival order (DESIGN.md §8.3). Both V3Server and the
@@ -30,6 +30,7 @@
 #include "sim/metrics.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
+#include "sim/tick_arbiter.hh"
 #include "storage/admission.hh"
 
 namespace v3sim::storage
@@ -37,7 +38,7 @@ namespace v3sim::storage
 
 /** The embedded admission gate. Registers its own metrics under
  *  `<prefix>.admission_*`. */
-class AdmissionGate
+class AdmissionGate : private sim::TickArbiter
 {
   public:
     AdmissionGate(sim::Simulation &sim, const std::string &prefix,
@@ -101,19 +102,17 @@ class AdmissionGate
         sim::Completion<> ready;
     };
 
-    /** The tick's single decision pass (final band). */
+    /** The tick's decision pass (the arbiter hook). */
     void pass();
-    void schedulePass();
 
     sim::Simulation &sim_;
     AdmissionQueue queue_;
     std::vector<Waiter *> staged_;
     /** Queued waiters by gate token (ordered: shedAll() wakes them
-     *  in token order; tokens are assigned in the final-band pass,
-     *  so they are deterministic). */
+     *  in token order; tokens are assigned in the decision pass, so
+     *  they are deterministic). */
     std::map<uint64_t, Waiter *> waiting_;
     uint64_t next_token_ = 0;
-    bool pass_scheduled_ = false;
 
     sim::CounterHandle admitted_;
     sim::CounterHandle queued_ct_;

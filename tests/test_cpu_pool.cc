@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "osmodel/cpu_pool.hh"
@@ -89,6 +90,52 @@ TEST(CpuPool, InterruptPriorityJumpsQueue)
     sim.run();
     EXPECT_EQ(order,
               (std::vector<std::string>{"intr", "a", "b"}));
+}
+
+TEST(CpuPool, ParkOnFullPoolSchedulesNothingReleaseGrantsByPriorityKey)
+{
+    sim::Simulation sim;
+    CpuPool pool(sim, 1, "cpu");
+    std::vector<std::string> order;
+    auto holder = [](CpuPool &p) -> Task<> {
+        CpuLease lease = co_await p.acquire();
+        co_await lease.run(usecs(10), CpuCat::Sql);
+        p.release();
+    };
+    auto waiter = [](CpuPool &p, std::vector<std::string> &out,
+                     int priority, uint64_t key,
+                     std::string name) -> Task<> {
+        CpuLease lease = co_await p.acquire(priority, key);
+        out.push_back(name);
+        co_await lease.run(usecs(1), CpuCat::Sql);
+        p.release();
+    };
+    sim::spawn(holder(pool));
+    sim.runUntil(usecs(1));
+    ASSERT_EQ(pool.busyCount(), 1);
+
+    // Four parks on the full pool, out of key order: none of them
+    // schedules an event (no grant pass could grant anything).
+    const size_t pending = sim.queue().pendingCount();
+    const uint64_t dispatches =
+        sim.queue().firedCount(sim::EventCategory::TickDispatch);
+    sim::spawn(waiter(pool, order, CpuPool::kNormalPriority, 3, "n3"));
+    sim::spawn(waiter(pool, order, CpuPool::kNormalPriority, 1, "n1"));
+    sim::spawn(
+        waiter(pool, order, CpuPool::kInterruptPriority, 7, "i7"));
+    sim::spawn(waiter(pool, order, CpuPool::kNormalPriority, 2, "n2"));
+    EXPECT_EQ(sim.queue().pendingCount(), pending);
+    EXPECT_EQ(pool.waiterCount(), 4u);
+
+    // The holder's release() at 10us requests the pass, which grants
+    // by (priority, key): the interrupt first, then ascending keys.
+    sim.runUntil(usecs(10));
+    EXPECT_EQ(order, (std::vector<std::string>{"i7"}));
+    EXPECT_EQ(sim.queue().firedCount(sim::EventCategory::TickDispatch),
+              dispatches + 1);
+    sim.run();
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"i7", "n1", "n2", "n3"}));
 }
 
 TEST(CpuPool, UtilizationPerCategory)

@@ -1,16 +1,20 @@
 /**
  * @file
  * Unit tests for the discrete-event queue: ordering, determinism,
- * cancellation, and time-bounded execution.
+ * cancellation, time-bounded execution, the tick arbiter dispatch and
+ * per-category event counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
+#include "sim/tick_arbiter.hh"
 
 namespace v3sim::sim
 {
@@ -523,6 +527,214 @@ TEST(EventQueue, ManyEventsStressOrdering)
     }
     q.run();
     EXPECT_TRUE(monotone);
+}
+
+/** A tick arbiter whose pass logs its id and runs an optional
+ *  action. */
+struct LoggingArbiter : TickArbiter
+{
+    LoggingArbiter(EventQueue &queue, std::vector<uint32_t> &log)
+        : TickArbiter(queue,
+                      [](TickArbiter &self) {
+                          auto &me = static_cast<LoggingArbiter &>(self);
+                          me.log.push_back(me.arbiterId());
+                          if (me.onPass)
+                              me.onPass();
+                      }),
+          log(log)
+    {}
+
+    std::vector<uint32_t> &log;
+    std::function<void()> onPass;
+};
+
+TEST(TickArbiter, ManyMarksInOneTickCostOneEvent)
+{
+    EventQueue q;
+    std::vector<uint32_t> log;
+    std::vector<std::unique_ptr<LoggingArbiter>> arbiters;
+    for (int i = 0; i < 6; ++i)
+        arbiters.push_back(std::make_unique<LoggingArbiter>(q, log));
+    // Marks from three same-tick events, each arbiter marked twice.
+    for (int e = 0; e < 3; ++e) {
+        q.schedule(usecs(1), [&, e] {
+            for (int i = e; i < 6; i += 3) {
+                arbiters[i]->markDirty();
+                arbiters[i]->markDirty();
+            }
+        });
+        q.schedule(usecs(1), [] {});
+    }
+    EXPECT_EQ(q.run(), 7u); // six plain events plus one dispatch
+    EXPECT_EQ(q.firedCount(EventCategory::TickDispatch), 1u);
+    EXPECT_EQ(q.dispatchTicks(), 1u);
+    EXPECT_EQ(log, (std::vector<uint32_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(TickArbiter, DispatchOrderIsRegistrationIdWhateverTheMarkOrder)
+{
+    // Marks arrive from separate same-tick events (a race the tie
+    // shuffle permutes) and in a scrambled order; the passes always
+    // run lowest registration id first.
+    const std::vector<int> mark_order = {3, 0, 4, 1, 2};
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+        EventQueue q;
+        if (seed != 0)
+            q.setTieShuffle(seed);
+        std::vector<uint32_t> log;
+        std::vector<std::unique_ptr<LoggingArbiter>> arbiters;
+        for (int i = 0; i < 5; ++i)
+            arbiters.push_back(std::make_unique<LoggingArbiter>(q, log));
+        for (int i : mark_order)
+            q.schedule(usecs(2), [&, i] { arbiters[i]->markDirty(); });
+        q.run();
+        EXPECT_EQ(log, (std::vector<uint32_t>{0, 1, 2, 3, 4}))
+            << "tie seed " << seed;
+        EXPECT_EQ(q.firedCount(EventCategory::TickDispatch), 1u);
+    }
+}
+
+TEST(TickArbiter, MarkDuringDispatchRunsAgainInSameEvent)
+{
+    EventQueue q;
+    std::vector<uint32_t> log;
+    LoggingArbiter low(q, log);
+    LoggingArbiter high(q, log);
+    int high_passes = 0;
+    high.onPass = [&] {
+        // The first pass marks a lower id and itself: both run again
+        // inside this dispatch, lower id first.
+        if (++high_passes == 1) {
+            low.markDirty();
+            high.markDirty();
+        }
+    };
+    q.schedule(usecs(1), [&] { high.markDirty(); });
+    q.run();
+    EXPECT_EQ(log, (std::vector<uint32_t>{1, 0, 1}));
+    EXPECT_EQ(q.firedCount(EventCategory::TickDispatch), 1u);
+}
+
+TEST(TickArbiter, ZeroDelaySpawnFromDispatchCostsOneMoreDispatch)
+{
+    EventQueue q;
+    std::vector<uint32_t> log;
+    LoggingArbiter first(q, log);
+    LoggingArbiter second(q, log);
+    bool spawned = false;
+    first.onPass = [&] {
+        if (spawned)
+            return;
+        spawned = true;
+        // Fires after the dispatch, same tick; its marks need (and
+        // get) exactly one more dispatch.
+        q.schedule(0, [&] {
+            second.markDirty();
+            first.markDirty();
+        });
+    };
+    q.schedule(usecs(3), [&] { first.markDirty(); });
+    q.run();
+    EXPECT_EQ(log, (std::vector<uint32_t>{0, 0, 1}));
+    EXPECT_EQ(q.firedCount(EventCategory::TickDispatch), 2u);
+    EXPECT_EQ(q.dispatchTicks(), 1u);
+    EXPECT_EQ(q.now(), usecs(3));
+}
+
+TEST(TickArbiter, DispatchFollowsTheTicksOtherEvents)
+{
+    // The dispatch is a final-band event: a same-tick event scheduled
+    // after the mark, and its zero-delay chain, still run first.
+    EventQueue q;
+    std::vector<uint32_t> log;
+    LoggingArbiter arbiter(q, log);
+    std::vector<int> order;
+    arbiter.onPass = [&] { order.push_back(9); };
+    q.schedule(usecs(1), [&] {
+        arbiter.markDirty();
+        q.schedule(0, [&] { order.push_back(1); });
+    });
+    q.schedule(usecs(1), [&] { order.push_back(0); });
+    q.schedule(usecs(2), [&] { order.push_back(2); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 9, 2}));
+}
+
+TEST(TickArbiter, DispatchOpensTheFinalBand)
+{
+    // A finalBand() check queued before the tick's first mark still
+    // runs after the dispatch, under any tie seed; a mark made by
+    // that check gets a dispatch ahead of the next check.
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+        EventQueue q;
+        if (seed != 0)
+            q.setTieShuffle(seed);
+        std::vector<uint32_t> log;
+        LoggingArbiter arbiter(q, log);
+        std::vector<int> order;
+        arbiter.onPass = [&] { order.push_back(0); };
+        q.schedule(usecs(1), [&] {
+            q.scheduleFinal([&] {
+                order.push_back(1);
+                arbiter.markDirty();
+            });
+            q.scheduleFinal([&] { order.push_back(2); });
+        });
+        q.schedule(usecs(1), [&] { arbiter.markDirty(); });
+        q.run();
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 2}))
+            << "tie seed " << seed;
+    }
+}
+
+TEST(TickArbiter, WithdrawnArbiterIsSkipped)
+{
+    EventQueue q;
+    std::vector<uint32_t> log;
+    LoggingArbiter kept(q, log);
+    auto gone = std::make_unique<LoggingArbiter>(q, log);
+    q.schedule(usecs(1), [&] {
+        gone->markDirty();
+        kept.markDirty();
+        gone.reset();
+    });
+    q.run();
+    EXPECT_EQ(log, (std::vector<uint32_t>{0}));
+}
+
+TEST(TickArbiterDeathTest, RegistrationFromAnEventAsserts)
+{
+    // Debug builds check the registration rule; release builds let
+    // the late arbiter register.
+    EXPECT_DEBUG_DEATH(
+        {
+            EventQueue q;
+            std::vector<uint32_t> log;
+            std::unique_ptr<LoggingArbiter> late;
+            q.schedule(usecs(1), [&] {
+                late = std::make_unique<LoggingArbiter>(q, log);
+            });
+            q.run();
+        },
+        "registered from an event");
+}
+
+TEST(EventQueue, CountsFiredEventsPerCategory)
+{
+    EventQueue q;
+    q.schedule(usecs(1), [] {}, EventCategory::Disk);
+    q.schedule(usecs(1), [] {}, EventCategory::Disk);
+    q.scheduleAt(usecs(2), [] {}, EventCategory::Fabric);
+    q.schedule(usecs(3), [] {});
+    EventQueue::Handle h = q.scheduleCancelable(usecs(4), [] {});
+    h.cancel();
+    q.run();
+    EXPECT_EQ(q.firedCount(EventCategory::Disk), 2u);
+    EXPECT_EQ(q.firedCount(EventCategory::Fabric), 1u);
+    EXPECT_EQ(q.firedCount(EventCategory::Other), 1u);
+    EXPECT_EQ(q.firedCount(), 4u);
+    EXPECT_STREQ(eventCategoryName(EventCategory::TickDispatch),
+                 "tick_dispatch");
 }
 
 } // namespace

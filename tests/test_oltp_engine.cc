@@ -2,12 +2,16 @@
  * @file
  * Unit tests for the OLTP engine over an in-memory fake device:
  * worker lifecycle, counters, CPU accounting, and the blocking vs
- * polling completion-overhead distinction.
+ * polling completion-overhead distinction; and for the open-loop
+ * driver's in-system accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "db/oltp_engine.hh"
+#include "db/open_loop.hh"
 #include "sim/simulation.hh"
 
 namespace v3sim::db
@@ -198,6 +202,87 @@ TEST_F(OltpEngineTest, LogWriterStreamsSequentially)
     engine.setLogDevice(&log);
     engine.run(sim::msecs(10), sim::msecs(100));
     EXPECT_GT(log.ios, 0u);
+}
+
+
+/** Fixed-latency device that probes the driver's in-system level
+ *  around each completion. */
+class ProbeDevice : public dsa::BlockDevice
+{
+  public:
+    ProbeDevice(sim::Simulation &sim, sim::Tick latency)
+        : sim_(sim), latency_(latency)
+    {}
+
+    sim::Task<bool>
+    read(uint64_t, uint64_t, sim::Addr) override
+    {
+        return io();
+    }
+
+    sim::Task<bool>
+    write(uint64_t, uint64_t, sim::Addr) override
+    {
+        return io();
+    }
+
+    uint64_t capacity() const override { return 1ull << 30; }
+
+    OpenLoopDriver *driver = nullptr;
+    uint64_t completed = 0;
+    /** inSystem() later in the completion tick, and admitted minus
+     *  completed against inSystem() on the next tick. */
+    std::vector<uint32_t> same_tick;
+    std::vector<std::pair<uint64_t, uint64_t>> next_tick;
+
+  private:
+    sim::Task<bool>
+    io()
+    {
+        co_await sim_.sleep(latency_);
+        const uint64_t done = ++completed;
+        sim_.queue().schedule(
+            0, [this] { same_tick.push_back(driver->inSystem()); });
+        sim_.queue().schedule(1, [this, done] {
+            next_tick.emplace_back(driver->offeredCount() -
+                                       driver->overflowCount() - done,
+                                   driver->inSystem());
+        });
+        co_return true;
+    }
+
+    sim::Simulation &sim_;
+    sim::Tick latency_;
+};
+
+TEST(OpenLoopDriver, CompletionsLeaveBeforeTheNextTicksCapCheck)
+{
+    // A finished request leaves in_system_ in its tick's arbiter
+    // dispatch: a same-tick reader (like a same-tick generator cap
+    // check) still counts it, a reader on any later tick does not.
+    sim::Simulation sim;
+    osmodel::Node node(sim, osmodel::NodeConfig{.name = "host", .cpus = 2});
+    ProbeDevice device(sim, sim::usecs(30));
+    OpenLoopConfig config;
+    config.tenants = 1000;
+    config.offered_iops = 20'000.0;
+    config.max_inflight = 4;
+    config.queue_cap = 4;
+    OpenLoopDriver driver(node, device, config, sim.forkRng());
+    device.driver = &driver;
+    driver.start();
+    sim.runUntil(sim::msecs(20));
+    driver.stop();
+    sim.run();
+
+    ASSERT_GT(device.completed, 100u);
+    ASSERT_EQ(device.same_tick.size(), device.completed);
+    ASSERT_EQ(device.next_tick.size(), device.completed);
+    for (uint32_t level : device.same_tick)
+        EXPECT_GE(level, 1u);
+    for (const auto &[expected, level] : device.next_tick)
+        EXPECT_EQ(level, expected);
+    EXPECT_EQ(driver.inSystem(), 0u);
 }
 
 } // namespace

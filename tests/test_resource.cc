@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "sim/resource.hh"
@@ -95,6 +96,31 @@ TEST(ServerPool, ZeroServiceJobsCompleteSameTick)
     sim.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(ServerPool, ZeroServiceJobsShareOneDispatch)
+{
+    // Three pools, each with two zero-service jobs: the six
+    // completions run in the tick's one dispatch event, each pool's
+    // jobs in start order (a done callback that submits another
+    // zero-service job joins the same pass).
+    Simulation sim;
+    ServerPool a(sim.queue(), 2);
+    ServerPool b(sim.queue(), 2);
+    ServerPool c(sim.queue(), 2);
+    std::vector<int> done;
+    for (ServerPool *pool : {&c, &a, &b}) {
+        const int base = pool == &a ? 0 : pool == &b ? 10 : 20;
+        pool->submit(0, [&done, base] { done.push_back(base); });
+        pool->submit(0, [&done, base, &a] {
+            done.push_back(base + 1);
+            if (base == 20)
+                a.submit(0, [&done] { done.push_back(2); });
+        });
+    }
+    EXPECT_EQ(sim.run(), 1u);
+    EXPECT_EQ(sim.queue().firedCount(EventCategory::TickDispatch), 1u);
+    EXPECT_EQ(done, (std::vector<int>{0, 1, 10, 11, 20, 21, 2}));
 }
 
 TEST(ServerPool, UncontendedJobFiresOneEvent)
@@ -255,6 +281,30 @@ TEST(Semaphore, SameTickGrantsFollowOrderKey)
     EXPECT_EQ(sem.waiterCount(), 2u);
     sem.release(2);
     sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(Semaphore, GrantsOfManySemaphoresShareOneDispatch)
+{
+    // Releases on four semaphores in one tick cost one dispatch; the
+    // grant passes run in construction (registration) order.
+    Simulation sim;
+    std::vector<std::unique_ptr<Semaphore>> sems;
+    for (int i = 0; i < 4; ++i)
+        sems.push_back(std::make_unique<Semaphore>(sim.queue(), 0));
+    std::vector<int> order;
+    for (int i = 0; i < 4; ++i) {
+        spawn([](Semaphore &sm, std::vector<int> &out, int id) -> Task<> {
+            co_await sm.acquire();
+            out.push_back(id);
+        }(*sems[i], order, i));
+    }
+    sim.run();
+    sim.queue().schedule(usecs(1), [&] {
+        for (int i : {2, 0, 3, 1})
+            sems[i]->release();
+    });
+    EXPECT_EQ(sim.run(), 2u);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 

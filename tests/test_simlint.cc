@@ -142,6 +142,32 @@ TEST(SimlintFixtures, FinalBandKey)
         lintFile(fixture("good_final_band_key.cc")).empty());
 }
 
+/** A fixture's text, for linting it under a path of our choosing. */
+std::string
+fixtureText(const std::string &name)
+{
+    std::ifstream in(fixture(name));
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+TEST(SimlintFixtures, FinalBandDirect)
+{
+    // The rule is path-scoped: model code under src/ must not call
+    // scheduleFinal( (lines 24 and 25), the sim core may.
+    const std::string bad = fixtureText("bad_final_band_direct.cc");
+    ASSERT_FALSE(bad.empty());
+    const LineRules want = {{24, "final-band-direct"},
+                            {25, "final-band-direct"}};
+    EXPECT_EQ(lineRules(lintSource("src/storage/gate.cc", bad)), want);
+    EXPECT_TRUE(lintSource("src/sim/event_queue.cc", bad).empty());
+    EXPECT_TRUE(lintSource("tests/test_gate.cc", bad).empty());
+    EXPECT_TRUE(lintSource("src/storage/gate.cc",
+                           fixtureText("good_final_band_direct.cc"))
+                    .empty());
+}
+
 TEST(SimlintFixtures, RefCaptureEscape)
 {
     const auto got =

@@ -44,6 +44,10 @@
  *                       sort keys (pointer relational compares,
  *                       `uintptr_t` casts): the §8.3 final band must
  *                       order contenders by content, never address.
+ *  - final-band-direct  no `scheduleFinal(` call under src/ outside
+ *                       src/sim/: components mark their
+ *                       sim::TickArbiter dirty, so each tick has one
+ *                       arbitration point.
  *  - ref-capture-escape no `[&]`/by-reference lambda captures handed
  *                       to `schedule*`/`spawn`/`EventFn`: the
  *                       callback outlives the frame.

@@ -394,6 +394,41 @@ checkFinalBandKey(const Ctx &ctx)
 }
 
 // ---------------------------------------------------------------
+// final-band-direct
+// ---------------------------------------------------------------
+
+/**
+ * One arbitration point per tick (DESIGN.md §8.3): model code under
+ * src/ requests a final-band decision by marking its
+ * sim::TickArbiter dirty, never by scheduling a final-band event of
+ * its own. Per-component final events fire FIFO, an arrival order
+ * the tie-shuffle never permutes, and cost one event each. Only the
+ * sim core (finalBand()) may call scheduleFinal.
+ */
+void
+checkFinalBandDirect(const Ctx &ctx)
+{
+    if (!pathContains(ctx.path, "src/") ||
+        pathContains(ctx.path, "src/sim/"))
+        return;
+    const auto &tokens = ctx.tokens;
+    for (size_t i = 1; i + 1 < tokens.size(); ++i) {
+        // A call goes through an object (`q.` / `q->`); a bare
+        // `scheduleFinal(` is a declaration.
+        if (!tokens[i].ident("scheduleFinal") ||
+            !tokens[i + 1].is("(") ||
+            !(tokens[i - 1].is(".") || tokens[i - 1].is("->")))
+            continue;
+        ctx.report(tokens[i].line, "final-band-direct",
+                   "`scheduleFinal(` outside src/sim/: mark the "
+                   "component's sim::TickArbiter dirty instead, so "
+                   "the tick's one dispatch decides in registration "
+                   "order, or annotate "
+                   "simlint:allow(final-band-direct: <reason>)");
+    }
+}
+
+// ---------------------------------------------------------------
 // ref-capture-escape
 // ---------------------------------------------------------------
 
@@ -676,6 +711,7 @@ runTuRules(TuAnalysis &tu,
     checkMetricNames(ctx);
     checkMetricHandle(ctx);
     checkFinalBandKey(ctx);
+    checkFinalBandDirect(ctx);
     checkRefCaptureEscape(ctx);
     checkRngDiscipline(ctx);
     checkBannedHeaders(ctx, tu.includes);
