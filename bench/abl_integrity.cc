@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "disk/stripe_layout.hh"
 #include "scenarios/testbed.hh"
 #include "util/bench_reporter.hh"
 #include "util/table.hh"
@@ -198,10 +199,13 @@ runPoint(double rate, const RunTimes &times, uint64_t span,
         3 * stripe_unit,
     };
     storage::V3Server &rotten = *bed.servers().front();
+    const disk::StripeLayout layout{stripe_unit,
+                                    rotten.diskManager().diskCount()};
     for (uint64_t off : latent_offsets) {
+        const disk::StripeChunk chunk = layout.chunkAt(off, kIoBytes);
         bed.faults().injectLatentError(
-            rotten.diskManager().disk(off / stripe_unit),
-            off % stripe_unit, kIoBytes);
+            rotten.diskManager().disk(chunk.child), chunk.child_offset,
+            kIoBytes);
     }
     const disk::Volume *vol0 = rotten.volumeManager().volume(0);
     const disk::Volume *vol1 =

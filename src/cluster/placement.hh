@@ -5,10 +5,10 @@
  * The paper runs V3 as a fixed cluster of storage nodes (Tables 1/2)
  * with the volume striped across them; src/cluster generalizes that
  * static wiring into a *service*. The unit of placement is the
- * shard: one RAID-1 replica set (a dsa::MirroredDevice leg pair),
- * with the volume striped round-robin across shards exactly as
- * dsa::StripedDevice does — so the map is a description of the
- * RAID-10 geometry the data plane already implements, plus the
+ * shard: one RAID-1 replica set (a dsa::MirroredDevice leg pair).
+ * Shard i is column i of the volume's stripe; the byte-to-shard
+ * geometry belongs to dsa::StripedDevice alone (disk/stripe_layout.hh),
+ * so the map records only which nodes back each shard and the
  * liveness state of every replica.
  *
  * Every mutation of the map is an epoch bump. Clients carry the
@@ -80,17 +80,7 @@ struct PlacementMap
 {
     /** Monotone view number; 0 means "no map yet". */
     uint64_t epoch = 0;
-    /** Stripe unit of the round-robin layout across shards. */
-    uint64_t stripe_unit = 0;
     std::vector<ShardView> shards;
-
-    /** Shard owning byte @p offset (StripedDevice's round-robin). */
-    size_t
-    shardFor(uint64_t offset) const
-    {
-        return static_cast<size_t>((offset / stripe_unit) %
-                                   shards.size());
-    }
 
     /** Locates @p node in the map; returns false when absent. */
     bool

@@ -21,13 +21,12 @@ OltpEngine::OltpEngine(osmodel::Node &node, dsa::BlockDevice &device,
       txn_latency_(node.sim().metrics().sampler(
           metric_prefix_ + ".txn_latency_ns"))
 {
-    // One page buffer per worker, from AWE so buffers are pinned
-    // physical memory the way SQL Server's cache is (section 3.1).
+    // Pre-pinned: SQL Server's cache is AWE memory (section 3.1).
     worker_buffers_.reserve(static_cast<size_t>(config_.workers));
     worker_workloads_.reserve(static_cast<size_t>(config_.workers));
     for (int i = 0; i < config_.workers; ++i) {
         worker_buffers_.push_back(
-            node_.awe().allocate(workload_.config().page_size));
+            node_.memory().allocate(workload_.config().page_size));
         worker_workloads_.push_back(workload_.fork());
     }
     const char *latch_names[] = {"db.bufmgr", "db.lockmgr", "db.log",

@@ -80,11 +80,6 @@ class DiskStore
      *  only learns it by checksumming what readInto returns. */
     bool rangeCorrupt(uint64_t offset, uint64_t len) const;
 
-    size_t sectorCount() const { return sectors_.size(); }
-
-    /** Sectors currently marked corrupt (oracle view). */
-    size_t corruptSectorCount() const { return corrupt_sectors_.size(); }
-
   private:
     using Sector = std::array<uint8_t, kSectorSize>;
 
@@ -140,7 +135,6 @@ class Disk : public vi::MediaFaultTarget, private sim::TickArbiter
     void setTornWriteRate(double p) override;
     /** @} */
 
-    size_t queueDepth() const { return queue_.size(); }
     bool busy() const { return busy_; }
 
     /** @name Statistics @{ */

@@ -8,19 +8,20 @@
  * other disk organizations."
  *
  * A Volume serves byte-addressed reads/writes and moves data to or
- * from host memory. Implementations: single disk, concatenation,
- * striping (RAID-0) and mirroring (RAID-1) — composable, so e.g. a
- * striped volume of mirrored pairs models RAID-10.
+ * from host memory. Implementations: a single disk, and RAID-0
+ * striping across a node's disks (geometry in disk/stripe_layout.hh).
+ * The experiments' RAID-1 is node-level, not disk-level: see
+ * dsa::MirroredDevice, which adds failover, resync and repair.
  */
 
 #ifndef V3SIM_DISK_VOLUME_HH
 #define V3SIM_DISK_VOLUME_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "disk/disk.hh"
+#include "disk/stripe_layout.hh"
 #include "sim/memory.hh"
 #include "sim/task.hh"
 
@@ -90,44 +91,16 @@ class SingleDiskVolume : public Volume
         return disk_.store().rangeCorrupt(offset, len);
     }
 
-    Disk &disk() { return disk_; }
-
   private:
     Disk &disk_;
 };
 
-/** Volumes glued end-to-end. */
-class ConcatVolume : public Volume
-{
-  public:
-    explicit ConcatVolume(std::vector<Volume *> children);
-
-    uint64_t capacity() const override { return capacity_; }
-
-    sim::Task<bool> read(uint64_t offset, uint64_t len,
-                         sim::MemorySpace &mem,
-                         sim::Addr addr) override;
-
-    sim::Task<bool> write(uint64_t offset, uint64_t len,
-                          const sim::MemorySpace &mem,
-                          sim::Addr addr) override;
-
-    bool corrupt(uint64_t offset, uint64_t len) const override;
-
-  private:
-    /** Child index and in-child offset for a volume offset. */
-    std::pair<size_t, uint64_t> locate(uint64_t offset) const;
-
-    std::vector<Volume *> children_;
-    std::vector<uint64_t> starts_; ///< cumulative start offsets
-    uint64_t capacity_;
-};
-
-/** RAID-0: fixed stripe unit round-robined across children. */
+/** RAID-0: fixed stripe unit round-robined across disks. */
 class StripeVolume : public Volume
 {
   public:
-    StripeVolume(std::vector<Volume *> children, uint64_t stripe_unit);
+    StripeVolume(const std::vector<Disk *> &disks,
+                 uint64_t stripe_unit);
 
     uint64_t capacity() const override { return capacity_; }
 
@@ -140,8 +113,6 @@ class StripeVolume : public Volume
                           sim::Addr addr) override;
 
     bool corrupt(uint64_t offset, uint64_t len) const override;
-
-    uint64_t stripeUnit() const { return stripe_unit_; }
 
   private:
     /** Runs one striped operation fan-out. */
@@ -149,35 +120,9 @@ class StripeVolume : public Volume
                         sim::MemorySpace *mem, sim::Addr addr,
                         bool is_write);
 
-    std::vector<Volume *> children_;
-    uint64_t stripe_unit_;
+    std::vector<SingleDiskVolume> children_;
+    StripeLayout layout_;
     uint64_t capacity_;
-};
-
-/** RAID-1: writes go everywhere, reads round-robin. */
-class MirrorVolume : public Volume
-{
-  public:
-    explicit MirrorVolume(std::vector<Volume *> children);
-
-    uint64_t capacity() const override { return capacity_; }
-
-    sim::Task<bool> read(uint64_t offset, uint64_t len,
-                         sim::MemorySpace &mem,
-                         sim::Addr addr) override;
-
-    sim::Task<bool> write(uint64_t offset, uint64_t len,
-                          const sim::MemorySpace &mem,
-                          sim::Addr addr) override;
-
-    /** True when *any* replica holds damage in the range: the mirror
-     *  cannot know which replica a read will hit. */
-    bool corrupt(uint64_t offset, uint64_t len) const override;
-
-  private:
-    std::vector<Volume *> children_;
-    uint64_t capacity_;
-    size_t next_read_ = 0;
 };
 
 } // namespace v3sim::disk

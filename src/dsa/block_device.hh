@@ -18,9 +18,11 @@
 #ifndef V3SIM_DSA_BLOCK_DEVICE_HH
 #define V3SIM_DSA_BLOCK_DEVICE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "disk/stripe_layout.hh"
 #include "sim/memory.hh"
 #include "sim/task.hh"
 
@@ -85,17 +87,19 @@ class StripedDevice : public BlockDevice
   public:
     StripedDevice(std::vector<BlockDevice *> children,
                   uint64_t stripe_unit)
-        : children_(std::move(children)), stripe_unit_(stripe_unit)
+        : children_(std::move(children)),
+          layout_{stripe_unit, children_.size()}
     {}
 
+    /** Not cached: DSA and iSCSI children learn their capacity only
+     *  when they connect. */
     uint64_t
     capacity() const override
     {
         uint64_t min_cap = UINT64_MAX;
         for (const BlockDevice *child : children_)
             min_cap = std::min(min_cap, child->capacity());
-        return (min_cap / stripe_unit_) * stripe_unit_ *
-               children_.size();
+        return layout_.capacity(min_cap);
     }
 
     sim::Task<bool>
@@ -135,16 +139,8 @@ class StripedDevice : public BlockDevice
         bool all_ok = true;
         uint64_t done = 0;
         while (done < len) {
-            const uint64_t pos = offset + done;
-            const uint64_t unit = pos / stripe_unit_;
-            const uint64_t within = pos % stripe_unit_;
-            const size_t child =
-                static_cast<size_t>(unit % children_.size());
-            const uint64_t child_off =
-                (unit / children_.size()) * stripe_unit_ + within;
-            const uint64_t chunk =
-                std::min(len - done, stripe_unit_ - within);
-
+            const disk::StripeChunk chunk =
+                layout_.chunkAt(offset + done, len - done);
             group.add();
             sim::spawn([](BlockDevice *device, uint64_t off,
                           uint64_t n, sim::Addr buf, bool write_op,
@@ -157,16 +153,16 @@ class StripedDevice : public BlockDevice
                 if (!result)
                     ok = false;
                 g.done();
-            }(children_[child], child_off, chunk, buffer + done,
-              is_write, tenant, group, all_ok));
-            done += chunk;
+            }(children_[chunk.child], chunk.child_offset, chunk.len,
+              buffer + done, is_write, tenant, group, all_ok));
+            done += chunk.len;
         }
         co_await group.wait();
         co_return all_ok;
     }
 
     std::vector<BlockDevice *> children_;
-    uint64_t stripe_unit_;
+    disk::StripeLayout layout_;
 };
 
 } // namespace v3sim::dsa

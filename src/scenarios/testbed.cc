@@ -98,20 +98,17 @@ Testbed::Testbed(Backend backend, HostParams host_params,
                 ? storage_params_.local_disks
                 : storage_params_.v3_nodes *
                       storage_params_.disks_per_node;
-        std::vector<disk::Volume *> parts;
+        std::vector<disk::Disk *> disks;
         for (int i = 0; i < count; ++i) {
             local_disks_.push_back(std::make_unique<disk::Disk>(
                 sim_, storage_params_.disk_spec, sim_.forkRng(),
                 "local.d" + std::to_string(i),
                 disk::SchedPolicy::Elevator,
                 host_params.phantom_memory));
-            local_parts_.push_back(
-                std::make_unique<disk::SingleDiskVolume>(
-                    *local_disks_.back()));
-            parts.push_back(local_parts_.back().get());
+            disks.push_back(local_disks_.back().get());
         }
         local_volume_ = std::make_unique<disk::StripeVolume>(
-            parts, storage_params_.stripe_unit);
+            disks, storage_params_.stripe_unit);
         local_ = std::make_unique<dsa::LocalBackend>(*host_,
                                                      *local_volume_);
         device_ = local_.get();
@@ -236,7 +233,6 @@ Testbed::Testbed(Backend backend, HostParams host_params,
         assert(storage_params_.mirrored &&
                "cluster mode runs over node-level mirrors");
         cluster::PlacementMap genesis;
-        genesis.stripe_unit = storage_params_.stripe_unit;
         for (size_t pair = 0; pair + 1 < servers_.size(); pair += 2) {
             cluster::ShardView shard;
             shard.replicas.push_back(cluster::ReplicaView{

@@ -250,7 +250,6 @@ class Testbed
         composite_targets_;
 
     std::vector<std::unique_ptr<disk::Disk>> local_disks_;
-    std::vector<std::unique_ptr<disk::SingleDiskVolume>> local_parts_;
     std::unique_ptr<disk::StripeVolume> local_volume_;
     std::unique_ptr<dsa::LocalBackend> local_;
 

@@ -36,7 +36,6 @@ PlacementMap
 twoShardGenesis()
 {
     PlacementMap map;
-    map.stripe_unit = 64 * util::kKiB;
     for (int s = 0; s < 2; ++s) {
         ShardView shard;
         shard.replicas.push_back(
@@ -74,7 +73,6 @@ TEST(MetaService, GenesisIsCommittedAsEpochOne)
     for (int id = 0; id < meta.replicaCount(); ++id)
         EXPECT_EQ(meta.replica(id).log().size(), 1u);
     EXPECT_EQ(meta.committed().shards.size(), 2u);
-    EXPECT_EQ(meta.committed().shardFor(64 * util::kKiB), 1u);
 }
 
 TEST(MetaService, ProposeCommitsOnMajorityAndBumpsEpoch)

@@ -32,12 +32,9 @@ class LocalBackendTestFixture : public ::testing::Test
             disks_.push_back(std::make_unique<disk::Disk>(
                 sim_, disk::DiskSpec::scsi10k(), sim_.forkRng(),
                 std::string("d").append(std::to_string(i))));
-            parts_.push_back(
-                std::make_unique<disk::SingleDiskVolume>(
-                    *disks_.back()));
-            part_ptrs_.push_back(parts_.back().get());
+            disk_ptrs_.push_back(disks_.back().get());
         }
-        volume_ = std::make_unique<disk::StripeVolume>(part_ptrs_,
+        volume_ = std::make_unique<disk::StripeVolume>(disk_ptrs_,
                                                        64 * 1024);
         local_ = std::make_unique<LocalBackend>(host_, *volume_);
     }
@@ -45,8 +42,7 @@ class LocalBackendTestFixture : public ::testing::Test
     sim::Simulation sim_;
     osmodel::Node host_;
     std::vector<std::unique_ptr<disk::Disk>> disks_;
-    std::vector<std::unique_ptr<disk::SingleDiskVolume>> parts_;
-    std::vector<disk::Volume *> part_ptrs_;
+    std::vector<disk::Disk *> disk_ptrs_;
     std::unique_ptr<disk::StripeVolume> volume_;
     std::unique_ptr<LocalBackend> local_;
 };

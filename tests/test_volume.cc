@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for RAID volumes: mapping, parallelism, data integrity
- * across concatenation, striping and mirroring.
+ * Unit tests for disk volumes: the RAID-0 stripe geometry against a
+ * byte-at-a-time reference, and parallelism and data integrity
+ * through single-disk and striped volumes.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "disk/stripe_layout.hh"
 #include "disk/volume.hh"
 #include "sim/simulation.hh"
 
@@ -20,6 +22,96 @@ namespace
 using sim::Task;
 using sim::Tick;
 
+/** Where the reference layout put one volume byte. */
+struct RefByte
+{
+    size_t child;
+    uint64_t child_offset;
+    /** First byte of a stripe unit. */
+    bool unit_start;
+};
+
+/**
+ * The RAID-0 layout built one byte at a time, sharing no arithmetic
+ * with StripeLayout: fill the current child for @p unit bytes, then
+ * move to the next child, wrapping after the last.
+ */
+std::vector<RefByte>
+referenceLayout(uint64_t unit, size_t width, uint64_t bytes)
+{
+    std::vector<RefByte> out;
+    std::vector<uint64_t> next(width, 0);
+    size_t child = 0;
+    uint64_t filled = 0;
+    for (uint64_t pos = 0; pos < bytes; ++pos) {
+        out.push_back({child, next[child]++, filled == 0});
+        if (++filled == unit) {
+            filled = 0;
+            child = (child + 1) % width;
+        }
+    }
+    return out;
+}
+
+TEST(StripeLayout, MatchesByteAtATimeReference)
+{
+    for (const uint64_t unit : {1ull, 3ull, 8ull}) {
+        for (size_t width = 1; width <= 5; ++width) {
+            SCOPED_TRACE(testing::Message()
+                         << "unit " << unit << " width " << width);
+            const StripeLayout layout{unit, width};
+            // Two full stripes: ranges start and end on, just
+            // before and just after every unit and stripe boundary.
+            const uint64_t span = 2 * unit * width;
+            const std::vector<RefByte> ref =
+                referenceLayout(unit, width, span);
+            for (uint64_t offset = 0; offset < span; ++offset) {
+                for (uint64_t len = 1; offset + len <= span; ++len) {
+                    uint64_t done = 0;
+                    while (done < len) {
+                        const uint64_t pos = offset + done;
+                        const StripeChunk chunk =
+                            layout.chunkAt(pos, len - done);
+                        ASSERT_GE(chunk.len, 1u);
+                        ASSERT_LE(chunk.len, len - done);
+                        for (uint64_t i = 0; i < chunk.len; ++i) {
+                            const RefByte &want = ref[pos + i];
+                            // Chunks never straddle a unit boundary.
+                            if (want.child != chunk.child ||
+                                want.child_offset !=
+                                    chunk.child_offset + i ||
+                                (i > 0 && want.unit_start)) {
+                                FAIL() << "offset " << offset << " len "
+                                       << len << " byte " << pos + i;
+                            }
+                        }
+                        // ...and end at one unless the range ends.
+                        done += chunk.len;
+                        if (done < len) {
+                            ASSERT_TRUE(ref[offset + done].unit_start)
+                                << "offset " << offset << " len "
+                                << len << " split early at "
+                                << offset + done;
+                        }
+                    }
+                }
+            }
+
+            // Capacity: whole stripes only, sized by the smallest
+            // child.
+            for (uint64_t min_child = 0; min_child <= 3 * unit;
+                 ++min_child) {
+                uint64_t whole_units = 0;
+                while ((whole_units + 1) * unit <= min_child)
+                    ++whole_units;
+                EXPECT_EQ(layout.capacity(min_child),
+                          whole_units * unit * width)
+                    << "min_child " << min_child;
+            }
+        }
+    }
+}
+
 class VolumeTest : public ::testing::Test
 {
   protected:
@@ -29,8 +121,6 @@ class VolumeTest : public ::testing::Test
             disks_.push_back(std::make_unique<Disk>(
                 sim_, DiskSpec::scsi10k(), sim_.forkRng(),
                 std::string("d").append(std::to_string(i))));
-            single_.push_back(
-                std::make_unique<SingleDiskVolume>(*disks_.back()));
         }
         buf_ = mem_.allocate(kBufLen);
         out_ = mem_.allocate(kBufLen);
@@ -40,12 +130,12 @@ class VolumeTest : public ::testing::Test
         mem_.write(buf_, pattern_.data(), kBufLen);
     }
 
-    std::vector<Volume *>
-    volumes(int n)
+    std::vector<Disk *>
+    disks(int n)
     {
-        std::vector<Volume *> v;
+        std::vector<Disk *> v;
         for (int i = 0; i < n; ++i)
-            v.push_back(single_[static_cast<size_t>(i)].get());
+            v.push_back(disks_[static_cast<size_t>(i)].get());
         return v;
     }
 
@@ -74,41 +164,31 @@ class VolumeTest : public ::testing::Test
     sim::Simulation sim_;
     sim::MemorySpace mem_;
     std::vector<std::unique_ptr<Disk>> disks_;
-    std::vector<std::unique_ptr<SingleDiskVolume>> single_;
     sim::Addr buf_, out_;
     std::vector<uint8_t> pattern_;
 };
 
 TEST_F(VolumeTest, SingleDiskRoundTrip)
 {
-    roundTrip(*single_[0], 8192, 8192);
+    SingleDiskVolume single(*disks_[0]);
+    roundTrip(single, 8192, 8192);
 }
 
 TEST_F(VolumeTest, SingleDiskRejectsOutOfRange)
 {
+    SingleDiskVolume single(*disks_[0]);
     bool ok = true;
     sim::spawn([](Volume &v, sim::MemorySpace &mem, sim::Addr buf,
                   bool &result) -> Task<> {
         result = co_await v.read(v.capacity() - 512, 1024, mem, buf);
-    }(*single_[0], mem_, out_, ok));
+    }(single, mem_, out_, ok));
     sim_.run();
     EXPECT_FALSE(ok);
 }
 
-TEST_F(VolumeTest, ConcatCapacityAndMapping)
-{
-    ConcatVolume concat(volumes(3));
-    EXPECT_EQ(concat.capacity(), 3 * single_[0]->capacity());
-    // A read spanning the seam between child 0 and child 1.
-    roundTrip(concat, single_[0]->capacity() - 8192, 16384);
-    // The spanning op touched both disks.
-    EXPECT_GT(disks_[0]->completedCount(), 0u);
-    EXPECT_GT(disks_[1]->completedCount(), 0u);
-}
-
 TEST_F(VolumeTest, StripeDistributesAcrossDisks)
 {
-    StripeVolume stripe(volumes(4), 64 * 1024);
+    StripeVolume stripe(disks(4), 64 * 1024);
     roundTrip(stripe, 0, 256 * 1024); // exactly one unit per disk
     for (const auto &disk : disks_)
         EXPECT_EQ(disk->completedCount(), 2u); // 1 write + 1 read
@@ -117,7 +197,8 @@ TEST_F(VolumeTest, StripeDistributesAcrossDisks)
 TEST_F(VolumeTest, StripeParallelismBeatsSingleDisk)
 {
     // 256K across 4 disks in parallel vs 256K on one disk.
-    StripeVolume stripe(volumes(4), 64 * 1024);
+    StripeVolume stripe(disks(4), 64 * 1024);
+    SingleDiskVolume single(*disks_[3]);
     Tick striped_time = 0, single_time = 0;
 
     sim::spawn([](Volume &v, sim::MemorySpace &mem, sim::Addr buf,
@@ -133,7 +214,7 @@ TEST_F(VolumeTest, StripeParallelismBeatsSingleDisk)
         const Tick start = s.now();
         co_await v.write(0, 256 * 1024, mem, buf);
         out = s.now() - start;
-    }(*single_[3], mem_, buf_, sim_, single_time));
+    }(single, mem_, buf_, sim_, single_time));
     sim_.run();
 
     EXPECT_LT(striped_time, single_time);
@@ -141,45 +222,9 @@ TEST_F(VolumeTest, StripeParallelismBeatsSingleDisk)
 
 TEST_F(VolumeTest, StripeUnalignedSpanRoundTrip)
 {
-    StripeVolume stripe(volumes(3), 64 * 1024);
+    StripeVolume stripe(disks(3), 64 * 1024);
     // Start mid-unit, cross several units.
     roundTrip(stripe, 32 * 1024 + 512, 150 * 1024);
-}
-
-TEST_F(VolumeTest, MirrorWritesAllReplicas)
-{
-    MirrorVolume mirror(volumes(2));
-    EXPECT_EQ(mirror.capacity(), single_[0]->capacity());
-    roundTrip(mirror, 4096, 8192);
-    // Write hit both disks; the read hit exactly one.
-    const uint64_t total =
-        disks_[0]->completedCount() + disks_[1]->completedCount();
-    EXPECT_EQ(total, 3u);
-}
-
-TEST_F(VolumeTest, MirrorReadsRoundRobin)
-{
-    MirrorVolume mirror(volumes(2));
-    sim::spawn([](Volume &v, sim::MemorySpace &mem,
-                  sim::Addr buf) -> Task<> {
-        for (int i = 0; i < 4; ++i)
-            co_await v.read(0, 8192, mem, buf);
-    }(mirror, mem_, out_));
-    sim_.run();
-    EXPECT_EQ(disks_[0]->completedCount(), 2u);
-    EXPECT_EQ(disks_[1]->completedCount(), 2u);
-}
-
-TEST_F(VolumeTest, Raid10Composition)
-{
-    // Stripe over two mirrored pairs: RAID-10.
-    MirrorVolume pair_a({single_[0].get(), single_[1].get()});
-    MirrorVolume pair_b({single_[2].get(), single_[3].get()});
-    StripeVolume raid10({&pair_a, &pair_b}, 64 * 1024);
-    roundTrip(raid10, 0, 128 * 1024);
-    // The write fanned out to all four spindles.
-    for (const auto &disk : disks_)
-        EXPECT_GE(disk->completedCount(), 1u);
 }
 
 } // namespace

@@ -4,8 +4,7 @@
 #
 # Every bench binary (bench/*.cc) must be mentioned by name in
 # EXPERIMENTS.md, so an experiment can't be added (or renamed)
-# without its documentation moving with it. Helper translation units
-# that are not benches of their own are listed in _helpers below.
+# without its documentation moving with it.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -19,17 +18,10 @@ if(NOT EXISTS "${_experiments}")
 endif()
 file(READ "${_experiments}" _doc)
 
-# Bench-directory sources that are shared infrastructure, not
-# experiments (no main(), or linked into several benches).
-set(_helpers micro_engine)
-
 file(GLOB _benches "${REPO_ROOT}/bench/*.cc")
 set(_missing "")
 foreach(_src IN LISTS _benches)
     get_filename_component(_name "${_src}" NAME_WE)
-    if(_name IN_LIST _helpers)
-        continue()
-    endif()
     string(FIND "${_doc}" "${_name}" _pos)
     if(_pos EQUAL -1)
         list(APPEND _missing "${_name}")
