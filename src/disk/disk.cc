@@ -126,7 +126,7 @@ Disk::Disk(sim::Simulation &sim, DiskSpec spec, sim::Rng rng,
 
 void
 Disk::submit(uint64_t offset, uint64_t len, bool is_write,
-             std::function<void()> done)
+             sim::EventFn done)
 {
     assert(offset + len <= spec_.capacity_bytes);
     queue_.push_back(
@@ -292,21 +292,23 @@ Disk::startNext()
     const sim::Tick service = serviceTime(cmd);
     head_pos_ = cmd.offset + cmd.len;
     service_stats_.add(static_cast<double>(service));
+    serving_ = std::move(cmd);
 
     sim_.queue().schedule(
         service,
-        [this, cmd = std::move(cmd)] {
+        [this] {
             latency_stats_.add(
-                static_cast<double>(sim_.now() - cmd.enqueued));
+                static_cast<double>(sim_.now() - serving_.enqueued));
             completed_.increment();
             busy_ = false;
             busy_integral_.set(sim_.now(), 0.0);
+            sim::EventFn done = std::move(serving_.done);
             // Deferred like submit's kick (see scheduleStart): a
             // completion and new arrivals on the same tick must all
             // be visible before the next pick. done() may enqueue
             // more work this tick; it precedes the pick too.
             scheduleStart();
-            cmd.done();
+            done();
         },
         sim::EventCategory::Disk);
 }

@@ -19,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -112,7 +111,7 @@ class Disk : public vi::MediaFaultTarget, private sim::TickArbiter
      * Data movement (if any) is the caller's business via store().
      */
     void submit(uint64_t offset, uint64_t len, bool is_write,
-                std::function<void()> done);
+                sim::EventFn done);
 
     /** Awaitable read: mechanism timing only. */
     sim::Task<> read(uint64_t offset, uint64_t len);
@@ -154,7 +153,7 @@ class Disk : public vi::MediaFaultTarget, private sim::TickArbiter
         uint64_t len;
         bool is_write;
         sim::Tick enqueued;
-        std::function<void()> done;
+        sim::EventFn done;
     };
 
     /** Deterministic order for same-priority commands (arrival tick,
@@ -188,6 +187,9 @@ class Disk : public vi::MediaFaultTarget, private sim::TickArbiter
 
     std::deque<Command> queue_;
     bool busy_ = false;
+    /** The command the mechanism is serving while busy_; its
+     *  completion event captures only the disk. */
+    Command serving_{};
     uint64_t head_pos_ = 0; ///< byte offset of the head
 
     /// Registry path prefix ("disk.<name>", uniquified); must precede

@@ -61,6 +61,7 @@
 #include "net/fabric.hh"
 #include "osmodel/node.hh"
 #include "osmodel/sim_lock.hh"
+#include "sim/resource.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"

@@ -4,13 +4,27 @@
  *
  * Models a Giganet-class switched SAN at the level the paper's
  * results depend on: per-port transmit serialization at link
- * bandwidth, a fixed propagation/switching delay, and in-order
- * delivery per (src, dst) pair. Receive-side contention is not
- * modelled because every experimental configuration in the paper
- * pairs one client NIC with one storage-node NIC (8 cLan NICs to 8
- * V3 nodes in the large setup); the VI layer on top adds NIC
- * processing costs and enforces the cLan 64K-64-byte maximum packet
- * size by fragmenting transfers.
+ * bandwidth, a fixed propagation/switching delay, in-order delivery
+ * per (src, dst) pair, and a per-port receive engine. The VI layer on
+ * top adds NIC transmit processing and enforces the cLan
+ * 64K-64-byte maximum packet size by fragmenting transfers.
+ *
+ * Once a packet is handed to the fabric its whole path is known, so
+ * send() places it in closed form (DESIGN.md §8.3) and the packet
+ * costs one event, when its port's handler runs:
+ *
+ *  - link: each port's link is a strict FIFO in send order (its one
+ *    feeder, a NIC transmit engine or a TcpStream, already orders
+ *    its packets), so wire_end = max(now, link free) + serialization
+ *    and arrival = wire_end + propagation;
+ *  - receive: the destination port's receive engine is a
+ *    sim::ServiceStage with the port's receive service. Packets are
+ *    served by (arrival tick, source port, send order): same-tick
+ *    arrivals from different sources in source-port order, whatever
+ *    order they were sent in, and a later send with an earlier
+ *    arrival pushes back only packets that have not arrived yet. The
+ *    handler runs when the receive service ends (at arrival for a
+ *    port with zero receive service).
  *
  * Payloads are opaque shared pointers: the fabric moves simulation
  * objects, while the modelled *wire size* is carried separately so
@@ -20,8 +34,11 @@
  * links) used to exercise DSA retransmission and reconnection. Ports
  * can additionally be marked down (setPortUp), modelling a whole
  * node/NIC leaving the fabric: packets to or from a down port vanish
- * silently, including packets already in flight towards it — exactly
- * what a powered-off node looks like to its peers.
+ * silently, and so do packets already propagating towards it when
+ * it goes down, unless it is back up by their arrival tick. A tick's
+ * arrivals precede a port state change on that tick. Packets that
+ * arrived before the port went down still finish their receive
+ * service — exactly what a powered-off node looks like to its peers.
  */
 
 #ifndef V3SIM_NET_FABRIC_HH
@@ -34,7 +51,7 @@
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/resource.hh"
+#include "sim/service_stage.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -89,7 +106,7 @@ struct FabricConfig
 /**
  * The switched fabric. Attach ports, then send packets between them.
  * Delivery calls the destination port's handler after transmit
- * serialization and propagation.
+ * serialization, propagation and the port's receive service.
  */
 class Fabric
 {
@@ -108,21 +125,28 @@ class Fabric
     Fabric(const Fabric &) = delete;
     Fabric &operator=(const Fabric &) = delete;
 
-    /** Attaches a port; @p handler receives delivered packets. */
-    PortId attach(Handler handler, std::string name = "");
+    /**
+     * Attaches a port; @p handler receives delivered packets once
+     * each has had @p rx_service of the port's receive engine (a NIC
+     * matching it to a descriptor and DMAing it).
+     */
+    PortId attach(Handler handler, std::string name = "",
+                  sim::Tick rx_service = 0);
 
     /**
      * Sends @p packet.wire_bytes from packet.src to packet.dst.
-     * The source port's transmitter serializes packets FIFO at link
-     * bandwidth; delivery occurs one propagation delay later.
-     * Sending to a detached or invalid port drops the packet.
+     * The source port's link serializes packets FIFO at link
+     * bandwidth; they arrive one propagation delay later and queue
+     * for the destination's receive engine. Sending to a detached or
+     * invalid port drops the packet.
      *
-     * @param on_wire optional; fires when the packet has finished
-     *        serializing onto the link (the moment a NIC would
-     *        retire the send descriptor). Fires even for packets the
-     *        drop filter will discard (the sender cannot tell).
+     * @param on_wire optional; fires in its own event when the
+     *        packet has finished serializing onto the link (the
+     *        moment a NIC would retire the send descriptor). Fires
+     *        even for packets the drop filter will discard (the
+     *        sender cannot tell).
      */
-    void send(Packet packet, std::function<void()> on_wire = {});
+    void send(Packet packet, sim::EventFn on_wire = {});
 
     /** Installs (or clears, with nullptr) the drop filter. */
     void setDropFilter(DropFilter filter) { drop_filter_ = std::move(filter); }
@@ -140,7 +164,8 @@ class Fabric
      * port is down every packet to or from it is dropped silently —
      * peers get no notification, matching a real node failure. Down
      * ports also swallow packets that were already propagating
-     * towards them when the port went down.
+     * towards them when the port went down and arrive while it is
+     * down; those never occupy its receive engine.
      */
     void setPortUp(PortId id, bool up);
 
@@ -155,27 +180,41 @@ class Fabric
     /** Bytes handed to the wire by @p port (excludes dropped). */
     uint64_t bytesSent(PortId port) const;
 
-    /** Packets delivered to @p port. */
+    /** Packets that have arrived at @p port, counted on their
+     *  arrival tick (their receive service may still be running). */
     uint64_t packetsDelivered(PortId port) const;
 
-    /** Packets removed by the drop filter. */
-    uint64_t packetsDropped() const { return dropped_.value(); }
+    /** Packets dropped: by the drop filter, at a down port, or to an
+     *  invalid one. */
+    uint64_t packetsDropped() const;
 
     /** Packets damaged by the corrupt filter. */
     uint64_t packetsCorrupted() const { return corrupted_.value(); }
 
-    /** Transmit-queue utilization of @p port over the run. */
+    /** Busy fraction of @p port's link since it was attached. */
     double txUtilization(PortId port) const;
 
   private:
     struct PortState
     {
+        PortState(sim::EventQueue &queue, sim::Tick rx_service)
+            : rx(queue, rx_service, sim::EventCategory::Fabric)
+        {}
+
         Handler handler;
         std::string name;
-        std::unique_ptr<sim::ServerPool> tx;
         bool up = true;
+        sim::Tick attached_at = 0;
+        /** When the link finishes serializing its last packet. */
+        sim::Tick link_free = 0;
+        /** Serialization time placed on the link so far. */
+        sim::Tick link_busy = 0;
+        /** Receive engine; a job is a packet's handler call. */
+        sim::ServiceStage rx;
+        /** Packets withdrawn from rx when the port went down; those
+         *  arriving after it comes back up are placed again. */
+        std::vector<sim::ServiceStage::Withdrawn> lost;
         sim::Counter bytes_sent;
-        sim::Counter delivered;
     };
 
     void deliver(Packet packet);

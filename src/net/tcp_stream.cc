@@ -69,7 +69,7 @@ TcpStream::flushStaged()
     std::vector<TcpMessage> batch = std::move(tx_staged_);
     tx_staged_.clear();
     // stable_sort: equal keys keep submission order, per the same
-    // (order_key, submission) rule as ServerPool admission.
+    // (order_key, submission) rule as the NIC transmit engine.
     std::stable_sort(batch.begin(), batch.end(),
                      [](const TcpMessage &a, const TcpMessage &b) {
                          return a.order_key < b.order_key;

@@ -27,10 +27,12 @@ namespace v3sim::sim
 class EventFn
 {
   public:
-    /** Inline capture budget: fits a `this` pointer plus a command
-     *  struct holding a `std::function` completion (the disk's
-     *  service-done callback, the largest hot-path capture), and
-     *  keeps the pooled Event at two cache lines. */
+    /** Inline capture budget: fits a `this` pointer plus a small
+     *  command struct (a fabric Packet), and keeps the pooled Event
+     *  at two cache lines. An EventFn never fits inline inside
+     *  another, so hot holders of a completion callback (Disk,
+     *  ServiceStage) keep it in their own state and capture a key
+     *  to it. */
     static constexpr size_t kInlineBytes = 80;
 
     EventFn() noexcept = default;

@@ -244,22 +244,21 @@ EventQueue::dispatch()
 }
 
 EventQueue::Handle
-EventQueue::scheduleCancelable(Tick delay, EventFn fn)
+EventQueue::scheduleCancelable(Tick delay, EventFn fn, EventCategory cat)
 {
     if (delay < 0)
         delay = 0;
-    return scheduleAtCancelable(now_ + delay, std::move(fn));
+    return scheduleAtCancelable(now_ + delay, std::move(fn), cat);
 }
 
 EventQueue::Handle
-EventQueue::scheduleAtCancelable(Tick when, EventFn fn)
+EventQueue::scheduleAtCancelable(Tick when, EventFn fn, EventCategory cat)
 {
     if (when < now_)
         when = now_;
     const uint32_t slot = allocControl();
     const uint64_t seq = next_seq_++;
-    insertNew(when, tieRank(when, seq), seq, std::move(fn), slot,
-              EventCategory::Other);
+    insertNew(when, tieRank(when, seq), seq, std::move(fn), slot, cat);
     return Handle(this, slot, controls_[slot].gen);
 }
 

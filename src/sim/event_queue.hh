@@ -70,9 +70,9 @@ enum class EventCategory : uint8_t
     Other,        ///< every untagged site
     CpuRun,       ///< CpuLease::run completion
     LockExit,     ///< SimLock batch exit
-    PoolDone,     ///< ServerPool job completion
+    PoolDone,     ///< NIC transmit engine: a packet handed to the link
     TickDispatch, ///< the tick's TickArbiter dispatch
-    Fabric,       ///< Fabric packet delivery
+    Fabric,       ///< a packet handed to its port's handler
     Disk,         ///< disk command completion
     Sleep,        ///< sim::delay / Simulation::sleep resume
     FinalBand,    ///< EventQueue::finalBand() awaiter resume
@@ -207,10 +207,13 @@ class EventQueue
 
     /** Like schedule(), but returns a cancellation Handle (this is
      *  the only path that touches a control slot). */
-    Handle scheduleCancelable(Tick delay, EventFn fn);
+    Handle scheduleCancelable(Tick delay, EventFn fn,
+                              EventCategory cat = EventCategory::Other);
 
-    /** Like scheduleAt(), but returns a cancellation Handle. */
-    Handle scheduleAtCancelable(Tick when, EventFn fn);
+    /** Like scheduleAt(), but returns a cancellation Handle. A
+     *  cancelled event is not counted as fired in any category. */
+    Handle scheduleAtCancelable(Tick when, EventFn fn,
+                                EventCategory cat = EventCategory::Other);
 
     /** Number of events scheduled but not yet fired or cancelled. */
     size_t pendingCount() const { return pending_; }

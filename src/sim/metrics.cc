@@ -102,6 +102,13 @@ MetricRegistry::onEpochReset(std::function<void(Tick)> hook)
         hooks_.push_back(std::move(hook));
 }
 
+void
+MetricRegistry::onSettle(std::function<void()> hook)
+{
+    if (hook)
+        settle_hooks_.push_back(std::move(hook));
+}
+
 std::string
 MetricRegistry::uniquePrefix(const std::string &base)
 {
@@ -149,6 +156,8 @@ void
 MetricRegistry::resetEpoch()
 {
     const Tick at = now();
+    for (const auto &hook : settle_hooks_)
+        hook();
     // Reset order is irrelevant (each metric is independent), so the
     // per-kind stores are walked directly instead of via the index.
     for (auto &counter : counters_)
@@ -169,6 +178,8 @@ MetricRegistry::Snapshot
 MetricRegistry::snapshot() const
 {
     const Tick at = now();
+    for (const auto &hook : settle_hooks_)
+        hook();
     Snapshot snap;
     for (const auto &[path, entry] : index_) {
         Value v;

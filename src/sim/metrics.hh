@@ -31,7 +31,10 @@
  *    values (hit ratio, utilization, live table entries); its owner
  *    must outlive any snapshot. onEpochReset() registers a callback
  *    for window-style state the registry cannot reset by itself
- *    (CpuPool's accounting window, a Disk's busy integral).
+ *    (CpuPool's accounting window, a Disk's busy integral), and
+ *    onSettle() one for counters that lag what they count (a
+ *    ViNic counts a packet on its arrival tick, which fires no
+ *    event), run before every snapshot and epoch reset.
  *
  * Paths must be unique; duplicate registration throws. Components
  * whose instance names are not guaranteed unique derive their prefix
@@ -201,6 +204,12 @@ class MetricRegistry
      *  registry cannot reset itself). Same lifetime rule as gauges. */
     void onEpochReset(std::function<void(Tick)> hook);
 
+    /** Registers a hook run at the start of every snapshot() and
+     *  resetEpoch(), before anything is read or reset: a component
+     *  whose counter lags events that fire no event of their own
+     *  brings it up to now. Same lifetime rule as gauges. */
+    void onSettle(std::function<void()> hook);
+
     /**
      * Returns a registry-unique dotted prefix: @p base itself the
      * first time, "base#2", "base#3", ... for later instances of the
@@ -292,6 +301,7 @@ class MetricRegistry
     std::deque<std::function<double()>> gauges_;
 
     std::vector<std::function<void(Tick)>> hooks_;
+    std::vector<std::function<void()>> settle_hooks_;
     std::map<std::string, uint32_t> prefix_uses_;
     NowFn now_;
     Tick epoch_start_ = 0;

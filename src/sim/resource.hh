@@ -1,26 +1,7 @@
 /**
  * @file
- * Queued-resource primitives: ServerPool and Semaphore.
- *
- * ServerPool models m identical servers with queued admission and a
- * caller-supplied service time per job — the workhorse behind NIC DMA
- * engines, network links, disk mechanisms, and the V3 server's
- * pipeline stages. Semaphore is a counted, FIFO-fair gate used for
- * flow-control credits and bounded queues.
- *
- * Determinism (DESIGN.md §8.3): jobs submitted on the same tick are a
- * race — their submission order is unspecified and tie-shuffled, so
- * the pool never starts them in arrival order. Same-tick jobs are
- * ordered by (order_key, submission); jobs from distinct ticks keep
- * strict FIFO. A job that finds a free server starts on arrival, but
- * provisionally while its submission tick lasts: a later same-tick
- * job that sorts before it takes its server back, and the displaced
- * job returns to the queue at its sorted place. Nothing observes a
- * job before its completion, so the started set is a function of the
- * tick's job set. Callers whose same-tick jobs can interleave pass
- * distinct order_keys (a transfer tag, a source port); same-key jobs
- * keep their relative submission order, which is how multi-fragment
- * transfers stay in order.
+ * Semaphore: a counted, FIFO-fair gate used for flow-control credits
+ * and bounded queues.
  */
 
 #ifndef V3SIM_SIM_RESOURCE_HH
@@ -30,145 +11,13 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/stats.hh"
 #include "sim/tick_arbiter.hh"
-#include "sim/types.hh"
 
 namespace v3sim::sim
 {
-
-/**
- * m identical servers with a FIFO queue. Jobs carry their own service
- * time; completion is signalled by callback or by awaiting use().
- */
-class ServerPool : private TickArbiter
-{
-  public:
-    /**
-     * @param queue the simulation event queue.
-     * @param servers number of parallel servers (>= 1).
-     * @param name used in statistics dumps.
-     */
-    ServerPool(EventQueue &queue, int servers, std::string name = "");
-
-    /**
-     * Enqueues a job; @p done fires when its service completes. The
-     * job starts now if a server is free, or if it sorts before a
-     * job started this tick, whose server it then takes; same-tick
-     * submissions are ordered by @p order_key, then submission. A
-     * zero-service job completes in this tick's arbiter dispatch.
-     */
-    void submit(Tick service, EventFn done, uint64_t order_key = 0);
-
-    /** Awaitable submission: co_await pool.use(service). */
-    auto
-    use(Tick service, uint64_t order_key = 0)
-    {
-        struct Awaiter
-        {
-            ServerPool *pool;
-            Tick service;
-            uint64_t order_key;
-
-            bool await_ready() const { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h) const
-            {
-                pool->submit(service, [h] { h.resume(); }, order_key);
-            }
-
-            void await_resume() const {}
-        };
-        return Awaiter{this, service, order_key};
-    }
-
-    int servers() const { return servers_; }
-    int busy() const { return busy_; }
-    size_t queuedCount() const { return waiting_.size(); }
-    const std::string &name() const { return name_; }
-
-    /** Fraction of server-capacity busy over the observed window. */
-    double utilization() const;
-
-    /** Distribution of time jobs spent waiting for a server (ns),
-     *  sampled as each job completes. */
-    const Sampler &waitStats() const { return wait_stats_; }
-
-    /** Jobs completed so far. */
-    uint64_t completedCount() const { return completed_; }
-
-    /** Restarts utilization/wait observation at the current time. */
-    void resetStats();
-
-  private:
-    /** Pooled job node: completion events capture only {pool, node,
-     *  generation}, so the service-completion path never
-     *  heap-allocates no matter how large the done callback's inline
-     *  state is. */
-    struct Job
-    {
-        Tick service = 0;
-        Tick enqueued = 0;
-        Tick started = 0;
-        uint64_t order_key = 0;
-        uint64_t seq = 0; ///< submission tiebreak among equal keys
-        /** Bumped when the job is displaced from its server, so the
-         *  completion event armed for that start is ignored. Never
-         *  reset: stale events stay stale across slot reuse. */
-        uint32_t gen = 0;
-        EventFn done;
-        Job *next_free = nullptr;
-    };
-
-    /** Queue order: (enqueued, order_key, seq). */
-    static bool before(const Job *a, const Job *b);
-
-    Job *allocJob();
-    void releaseJob(Job *job);
-    /** Takes a free server for @p job. */
-    void startJob(Job *job);
-    /** Arms @p job's completion on the server it now holds. */
-    void runJob(Job *job);
-    /** Inserts @p job into waiting_ at its queue-order place. */
-    void enqueue(Job *job);
-    /** Running jobs enqueued and started this tick (displaceable). */
-    std::vector<Job *> &provisional();
-    void onJobDone(Job *job, uint32_t gen);
-    /** Arbiter hook: completes the zero-service jobs due this tick. */
-    void completeDue();
-
-    /** A started zero-service job, completed by completeDue(). */
-    struct Due
-    {
-        Job *job;
-        uint32_t gen;
-    };
-
-    EventQueue &queue_;
-    int servers_;
-    std::string name_;
-    int busy_ = 0;
-    /** Jobs awaiting a server, in queue order. Non-empty only while
-     *  every server is busy. */
-    std::deque<Job *> waiting_;
-    std::vector<Job *> provisional_;
-    Tick provisional_tick_ = -1;
-    std::vector<Due> due_;
-    uint64_t next_seq_ = 0;
-    /** Slab owning every Job node (deque: stable addresses). */
-    std::deque<Job> slab_;
-    Job *free_jobs_ = nullptr;
-    TimeWeighted busy_integral_;
-    Sampler wait_stats_;
-    uint64_t completed_ = 0;
-};
 
 /**
  * Counted semaphore with coroutine acquire and dispatch-time granting.

@@ -28,8 +28,8 @@ ViNic::ViNic(sim::Simulation &sim, net::Fabric &fabric,
       costs_(costs),
       registry_(costs_, reg_region_entries),
       port_(net::kInvalidPort),
-      rx_engine_(sim.queue(), 1, name_ + ".rx"),
-      tx_engine_(sim.queue(), 1, name_ + ".tx"),
+      tx_engine_(sim.queue(), costs_.nic_tx_processing,
+                 sim::EventCategory::PoolDone),
       metric_prefix_(sim.metrics().uniquePrefix("nic." + name_)),
       packets_sent_(
           sim.metrics().counter(metric_prefix_ + ".packets_sent")),
@@ -44,9 +44,18 @@ ViNic::ViNic(sim::Simulation &sim, net::Fabric &fabric,
 {
     port_ = fabric_.attach(
         [this](net::Packet packet) { onPacket(std::move(packet)); },
-        name_);
+        name_, costs_.nic_rx_processing);
     registry_.registerMetrics(sim.metrics(),
                               metric_prefix_ + ".mem_registry");
+    sim.metrics().onSettle([this] { settleReceived(); });
+}
+
+void
+ViNic::settleReceived()
+{
+    const uint64_t arrived = fabric_.packetsDelivered(port_);
+    packets_received_.increment(arrived - received_counted_);
+    received_counted_ = arrived;
 }
 
 ViEndpoint &
@@ -231,7 +240,7 @@ ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
 
         packets_sent_.increment();
 
-        std::function<void()> on_wire;
+        sim::EventFn on_wire;
         if (last && ep.send_cq_ != nullptr) {
             // Retire the send descriptor when the last fragment has
             // fully left the NIC (only an endpoint with a send CQ
@@ -258,14 +267,7 @@ ViNic::transmit(ViEndpoint &ep, const WorkDescriptor &desc,
                 e->send_cq_->push(completion);
             };
         }
-
-        tx_engine_.submit(
-            costs_.nic_tx_processing,
-            [this, packet = std::move(packet),
-             on_wire = std::move(on_wire)]() mutable {
-                fabric_.send(std::move(packet), std::move(on_wire));
-            },
-            desc.order_key);
+        queueForWire(std::move(packet), std::move(on_wire));
 
         offset += frag_len;
     } while (offset < total);
@@ -282,12 +284,28 @@ ViNic::sendControl(net::PortId dst, WireMsg msg, uint64_t order_key)
     packet.order_key = order_key;
     packet.payload = std::move(payload);
     packets_sent_.increment();
-    tx_engine_.submit(
-        costs_.nic_tx_processing,
-        [this, packet = std::move(packet)]() mutable {
-            fabric_.send(std::move(packet));
-        },
-        order_key);
+    queueForWire(std::move(packet));
+}
+
+void
+ViNic::queueForWire(net::Packet packet, sim::EventFn on_wire)
+{
+    const uint64_t order_key = packet.order_key;
+    // Two captures: the common one, without on_wire, fits EventFn's
+    // inline buffer.
+    if (!on_wire) {
+        tx_engine_.place(sim_.now(), order_key,
+                         [this, packet = std::move(packet)]() mutable {
+                             fabric_.send(std::move(packet));
+                         });
+        return;
+    }
+    tx_engine_.place(sim_.now(), order_key,
+                     [this, packet = std::move(packet),
+                      on_wire = std::move(on_wire)]() mutable {
+                         fabric_.send(std::move(packet),
+                                      std::move(on_wire));
+                     });
 }
 
 void
@@ -304,47 +322,36 @@ ViNic::applyCorruption(WireMsg &msg)
 void
 ViNic::onPacket(net::Packet packet)
 {
-    packets_received_.increment();
-    // Receive-side arbitration key: the source port. Packets from
-    // one source are serialized by its link and never collide on a
-    // tick; same-tick collisions are always different sources, and
-    // ordering those by port id is content, not arrival order.
-    const uint64_t rx_key = packet.src;
-    rx_engine_.submit(
-        costs_.nic_rx_processing,
-        [this, packet = std::move(packet)]() mutable {
-            auto msg = std::static_pointer_cast<WireMsg>(packet.payload);
-            // Wire-level injection marks the packet; NIC-level
-            // injection (bad DMA) hits inbound RDMA fragments after
-            // the link CRC has already been checked and stripped.
-            bool corrupt = packet.corrupted;
-            if (corrupt_next_rdma_ > 0 &&
-                (msg->kind == WireMsg::Kind::Rdma ||
-                 msg->kind == WireMsg::Kind::RdmaReadResp)) {
-                --corrupt_next_rdma_;
-                corrupt = true;
-            }
-            if (corrupt)
-                applyCorruption(*msg);
-            switch (msg->kind) {
-              case WireMsg::Kind::Send:
-                handleSendMsg(*msg);
-                break;
-              case WireMsg::Kind::Rdma:
-                handleRdmaMsg(*msg);
-                break;
-              case WireMsg::Kind::RdmaReadReq:
-                handleRdmaReadReq(*msg);
-                break;
-              case WireMsg::Kind::RdmaReadResp:
-                handleRdmaReadResp(*msg);
-                break;
-              default:
-                handleControl(packet.src, *msg);
-                break;
-            }
-        },
-        rx_key);
+    auto msg = std::static_pointer_cast<WireMsg>(packet.payload);
+    // Wire-level injection marks the packet; NIC-level injection (bad
+    // DMA) hits inbound RDMA fragments after the link CRC has already
+    // been checked and stripped.
+    bool corrupt = packet.corrupted;
+    if (corrupt_next_rdma_ > 0 &&
+        (msg->kind == WireMsg::Kind::Rdma ||
+         msg->kind == WireMsg::Kind::RdmaReadResp)) {
+        --corrupt_next_rdma_;
+        corrupt = true;
+    }
+    if (corrupt)
+        applyCorruption(*msg);
+    switch (msg->kind) {
+      case WireMsg::Kind::Send:
+        handleSendMsg(*msg);
+        break;
+      case WireMsg::Kind::Rdma:
+        handleRdmaMsg(*msg);
+        break;
+      case WireMsg::Kind::RdmaReadReq:
+        handleRdmaReadReq(*msg);
+        break;
+      case WireMsg::Kind::RdmaReadResp:
+        handleRdmaReadResp(*msg);
+        break;
+      default:
+        handleControl(packet.src, *msg);
+        break;
+    }
 }
 
 void
@@ -571,12 +578,7 @@ ViNic::handleRdmaReadReq(const WireMsg &msg)
         packet.order_key = msg.read_dest;
         packet.payload = std::move(resp);
         packets_sent_.increment();
-        tx_engine_.submit(
-            costs_.nic_tx_processing,
-            [this, packet = std::move(packet)]() mutable {
-                fabric_.send(std::move(packet));
-            },
-            msg.read_dest);
+        queueForWire(std::move(packet));
         offset += frag_len;
     } while (offset < msg.total_len);
 }

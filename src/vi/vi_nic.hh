@@ -41,7 +41,7 @@
 
 #include "net/fabric.hh"
 #include "sim/memory.hh"
-#include "sim/resource.hh"
+#include "sim/service_stage.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
 #include "vi/completion_queue.hh"
@@ -247,7 +247,14 @@ class ViNic
 
     /** @name Statistics @{ */
     uint64_t packetsSent() const { return packets_sent_.value(); }
-    uint64_t packetsReceived() const { return packets_received_.value(); }
+    /** Packets arrived at this NIC in the current metrics epoch,
+     *  counted on their arrival tick. */
+    uint64_t
+    packetsReceived() const
+    {
+        return packets_received_.value() +
+               (fabric_.packetsDelivered(port_) - received_counted_);
+    }
     uint64_t recvOverruns() const { return recv_overruns_.value(); }
     uint64_t protectionErrors() const
     {
@@ -298,12 +305,22 @@ class ViNic
     void transmit(ViEndpoint &ep, const WorkDescriptor &desc,
                   WireMsg::Kind kind);
 
+    /** Queues @p packet on the transmit engine, which hands it to the
+     *  fabric (with @p on_wire, if any) when its processing ends.
+     *  Same-tick packets go in packet.order_key order. */
+    void queueForWire(net::Packet packet, sim::EventFn on_wire = {});
+
     /** Sends a small control message (connect/disconnect family).
      *  @p order_key orders it against same-tick transmit work. */
     void sendControl(net::PortId dst, WireMsg msg,
                      uint64_t order_key = 0);
 
+    /** Port handler: runs when the packet's receive service ends. */
     void onPacket(net::Packet packet);
+
+    /** Brings packets_received_ up to the packets arrived by now
+     *  (a metrics settle hook: arrivals fire no event). */
+    void settleReceived();
 
     /** Marks @p msg corrupted and, when it carries real bytes, flips
      *  one of them so software-visible data actually differs. */
@@ -326,10 +343,10 @@ class ViNic
     ViCosts costs_;
     MemoryRegistry registry_;
     net::PortId port_;
-    /** Serializes per-packet NIC receive processing. */
-    sim::ServerPool rx_engine_;
-    /** Serializes per-packet NIC transmit processing. */
-    sim::ServerPool tx_engine_;
+    /** Serializes per-packet NIC transmit processing; a job hands its
+     *  packet to the fabric. Receive processing is the fabric port's
+     *  receive service. */
+    sim::ServiceStage tx_engine_;
 
     std::vector<std::unique_ptr<ViEndpoint>> endpoints_;
     AcceptHandler accept_handler_;
@@ -344,6 +361,8 @@ class ViNic
 
     sim::CounterHandle packets_sent_;
     sim::CounterHandle packets_received_;
+    /** Fabric arrivals already added to packets_received_. */
+    uint64_t received_counted_ = 0;
     sim::CounterHandle recv_overruns_;
     sim::CounterHandle protection_errors_;
     sim::CounterHandle packets_corrupted_;

@@ -130,6 +130,20 @@ TEST(EventQueue, CancelPreventsFiring)
     EXPECT_FALSE(fired);
 }
 
+TEST(EventQueue, CancelledEventIsNotCountedAsFired)
+{
+    // A cancelled event still pops at its tick, but counts in no
+    // category; the live one counts in the category it was given.
+    EventQueue q;
+    auto cancelled = q.scheduleAtCancelable(usecs(10), [] {},
+                                            EventCategory::Fabric);
+    q.scheduleAtCancelable(usecs(20), [] {}, EventCategory::Fabric);
+    cancelled.cancel();
+    q.run();
+    EXPECT_EQ(q.firedCount(EventCategory::Fabric), 1u);
+    EXPECT_EQ(q.firedCount(), 1u);
+}
+
 TEST(EventQueue, CancelAfterFireIsNoop)
 {
     EventQueue q;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for ServerPool queueing and Semaphore fairness.
+ * Unit tests for ServiceStage placement and Semaphore fairness.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "sim/resource.hh"
+#include "sim/service_stage.hh"
 #include "sim/simulation.hh"
 #include "sim/task.hh"
 
@@ -19,13 +20,13 @@ namespace v3sim::sim
 namespace
 {
 
-TEST(ServerPool, SingleServerSerializesJobs)
+TEST(ServiceStage, SingleServerSerializesJobs)
 {
     Simulation sim;
-    ServerPool pool(sim.queue(), 1);
+    ServiceStage stage(sim.queue(), usecs(10), EventCategory::Other);
     std::vector<Tick> done_at;
     for (int i = 0; i < 3; ++i)
-        pool.submit(usecs(10), [&] { done_at.push_back(sim.now()); });
+        stage.place(0, 0, [&] { done_at.push_back(sim.now()); });
     sim.run();
     ASSERT_EQ(done_at.size(), 3u);
     EXPECT_EQ(done_at[0], usecs(10));
@@ -33,190 +34,112 @@ TEST(ServerPool, SingleServerSerializesJobs)
     EXPECT_EQ(done_at[2], usecs(30));
 }
 
-TEST(ServerPool, MultiServerRunsInParallel)
+TEST(ServiceStage, ZeroServiceJobsCompleteSameTick)
 {
     Simulation sim;
-    ServerPool pool(sim.queue(), 2);
-    std::vector<Tick> done_at;
-    for (int i = 0; i < 4; ++i)
-        pool.submit(usecs(10), [&] { done_at.push_back(sim.now()); });
-    sim.run();
-    ASSERT_EQ(done_at.size(), 4u);
-    EXPECT_EQ(done_at[0], usecs(10));
-    EXPECT_EQ(done_at[1], usecs(10));
-    EXPECT_EQ(done_at[2], usecs(20));
-    EXPECT_EQ(done_at[3], usecs(20));
-}
-
-TEST(ServerPool, AwaitableUse)
-{
-    Simulation sim;
-    ServerPool pool(sim.queue(), 1);
-    Tick finished = -1;
-    spawn([](Simulation &s, ServerPool &p, Tick &out) -> Task<> {
-        co_await p.use(usecs(25));
-        out = s.now();
-    }(sim, pool, finished));
-    sim.run();
-    EXPECT_EQ(finished, usecs(25));
-}
-
-TEST(ServerPool, WaitStatsMeasureQueueing)
-{
-    Simulation sim;
-    ServerPool pool(sim.queue(), 1);
-    pool.submit(usecs(10), [] {});
-    pool.submit(usecs(10), [] {});
-    pool.submit(usecs(10), [] {});
-    sim.run();
-    // Waits: 0, 10us, 20us -> mean 10us.
-    EXPECT_EQ(pool.waitStats().count(), 3u);
-    EXPECT_DOUBLE_EQ(pool.waitStats().mean(),
-                     static_cast<double>(usecs(10)));
-    EXPECT_EQ(pool.completedCount(), 3u);
-}
-
-TEST(ServerPool, UtilizationReflectsBusyFraction)
-{
-    Simulation sim;
-    ServerPool pool(sim.queue(), 2);
-    pool.submit(usecs(10), [] {});
-    sim.run();
-    sim.runUntil(usecs(20));
-    // One of two servers busy for 10us of a 20us window.
-    EXPECT_NEAR(pool.utilization(), 0.25, 1e-9);
-}
-
-TEST(ServerPool, ZeroServiceJobsCompleteSameTick)
-{
-    Simulation sim;
-    ServerPool pool(sim.queue(), 1);
+    ServiceStage stage(sim.queue(), 0, EventCategory::Other);
     bool done = false;
-    pool.submit(0, [&] { done = true; });
+    stage.place(0, 0, [&] { done = true; });
     sim.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(sim.now(), 0);
 }
 
-TEST(ServerPool, ZeroServiceJobsShareOneDispatch)
+TEST(ServiceStage, UncontendedJobFiresOneEvent)
 {
-    // Three pools, each with two zero-service jobs: the six
-    // completions run in the tick's one dispatch event, each pool's
-    // jobs in start order (a done callback that submits another
-    // zero-service job joins the same pass).
+    // The job is placed at submission: no admission event, only the
+    // service completion, in the stage's category.
     Simulation sim;
-    ServerPool a(sim.queue(), 2);
-    ServerPool b(sim.queue(), 2);
-    ServerPool c(sim.queue(), 2);
-    std::vector<int> done;
-    for (ServerPool *pool : {&c, &a, &b}) {
-        const int base = pool == &a ? 0 : pool == &b ? 10 : 20;
-        pool->submit(0, [&done, base] { done.push_back(base); });
-        pool->submit(0, [&done, base, &a] {
-            done.push_back(base + 1);
-            if (base == 20)
-                a.submit(0, [&done] { done.push_back(2); });
-        });
-    }
-    EXPECT_EQ(sim.run(), 1u);
-    EXPECT_EQ(sim.queue().firedCount(EventCategory::TickDispatch), 1u);
-    EXPECT_EQ(done, (std::vector<int>{0, 1, 10, 11, 20, 21, 2}));
-}
-
-TEST(ServerPool, UncontendedJobFiresOneEvent)
-{
-    // The grant is decided on arrival: no admission event, only the
-    // service completion.
-    Simulation sim;
-    ServerPool pool(sim.queue(), 1);
+    ServiceStage stage(sim.queue(), usecs(10), EventCategory::PoolDone);
     bool done = false;
-    pool.submit(usecs(10), [&] { done = true; });
+    stage.place(0, 0, [&] { done = true; });
     sim.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(sim.queue().firedCount(), 1u);
+    EXPECT_EQ(sim.queue().firedCount(EventCategory::PoolDone), 1u);
 }
 
 // DESIGN.md §8.3: a same-tick job that sorts before one already
-// started on this tick takes its server; the displaced job's stale
-// completion event is ignored.
-TEST(ServerPool, SameTickLowerKeyDisplacesProvisionalStart)
+// started on this tick takes the server; the displaced job's event is
+// cancelled and re-armed, so it never fires stale.
+TEST(ServiceStage, SameTickLowerKeyDisplacesProvisionalStart)
 {
     Simulation sim;
-    ServerPool pool(sim.queue(), 1);
+    ServiceStage stage(sim.queue(), usecs(10), EventCategory::Other);
     std::vector<std::pair<uint64_t, Tick>> done_at;
     // Each key displaces the one before it; the displaced jobs queue
     // in key order, not in displacement order.
     for (const uint64_t key : {5u, 3u, 1u}) {
-        pool.submit(
-            usecs(10), [&, key] { done_at.emplace_back(key, sim.now()); },
-            key);
+        stage.place(0, key,
+                    [&, key] { done_at.emplace_back(key, sim.now()); });
     }
     sim.run();
     EXPECT_EQ(done_at, (std::vector<std::pair<uint64_t, Tick>>{
                            {1, usecs(10)}, {3, usecs(20)}, {5, usecs(30)}}));
-    EXPECT_EQ(pool.completedCount(), 3u);
-    // Three completions plus the two displaced starts' stale events.
-    EXPECT_EQ(sim.queue().firedCount(), 5u);
-    EXPECT_EQ(pool.utilization(), 1.0);
-    EXPECT_DOUBLE_EQ(pool.waitStats().mean(),
-                     static_cast<double>(usecs(10)));
+    EXPECT_EQ(sim.queue().firedCount(), 3u);
 }
 
-TEST(ServerPool, SameTickStartsIndependentOfArrivalOrder)
+TEST(ServiceStage, SameTickStartsIndependentOfArrivalOrder)
 {
-    // Two servers, three same-tick jobs: keys 1 and 2 start at once,
-    // key 3 takes the first server to free up — in every arrival
-    // order.
-    const std::array<Tick, 3> service{usecs(10), usecs(30), usecs(5)};
+    // Three same-tick jobs are served in key order in every
+    // placement order.
     std::array<uint64_t, 3> keys{1, 2, 3};
     int orders = 0;
     do {
         Simulation sim;
-        ServerPool pool(sim.queue(), 2);
+        ServiceStage stage(sim.queue(), usecs(10), EventCategory::Other);
         std::array<Tick, 3> done_at{};
         for (const uint64_t key : keys) {
             const size_t i = key - 1;
-            pool.submit(service[i], [&, i] { done_at[i] = sim.now(); },
-                        key);
+            stage.place(0, key, [&, i] { done_at[i] = sim.now(); });
         }
         sim.run();
-        EXPECT_EQ(done_at, (std::array<Tick, 3>{usecs(10), usecs(30),
-                                                usecs(15)}));
-        EXPECT_EQ(pool.completedCount(), 3u);
+        EXPECT_EQ(done_at, (std::array<Tick, 3>{usecs(10), usecs(20),
+                                                usecs(30)}));
+        EXPECT_EQ(sim.queue().firedCount(), 3u);
         ++orders;
     } while (std::next_permutation(keys.begin(), keys.end()));
     EXPECT_EQ(orders, 6);
 }
 
-TEST(ServerPool, ZeroServiceJobIsDisplaceable)
+TEST(ServiceStage, FifoAcrossArrivalTicks)
 {
-    // A zero-service job completes in the final band, so a same-tick
-    // job with a smaller key — even one submitted by a later
-    // zero-delay event — still takes the server first.
+    // A later arrival waits for an earlier one whatever its key, and
+    // a job whose arrival is still ahead is placed now and starts on
+    // arrival.
     Simulation sim;
-    ServerPool pool(sim.queue(), 1);
+    ServiceStage stage(sim.queue(), usecs(10), EventCategory::Other);
     std::vector<std::pair<uint64_t, Tick>> done_at;
-    pool.submit(0, [&] { done_at.emplace_back(5, sim.now()); }, 5);
-    sim.queue().schedule(0, [&] {
-        pool.submit(
-            usecs(10), [&] { done_at.emplace_back(1, sim.now()); }, 1);
-    });
+    stage.place(usecs(5), 9, [&] { done_at.emplace_back(9, sim.now()); });
+    stage.place(usecs(8), 1, [&] { done_at.emplace_back(1, sim.now()); });
+    stage.place(usecs(40), 0,
+                [&] { done_at.emplace_back(0, sim.now()); });
     sim.run();
     EXPECT_EQ(done_at, (std::vector<std::pair<uint64_t, Tick>>{
-                           {1, usecs(10)}, {5, usecs(10)}}));
-    EXPECT_EQ(pool.completedCount(), 2u);
+                           {9, usecs(15)}, {1, usecs(25)}, {0, usecs(50)}}));
 }
 
-TEST(ServerPool, ResetStatsClearsWindow)
+TEST(ServiceStage, WithdrawUnarrivedKeepsArrivedJobs)
 {
+    // Jobs that arrived by now stay and finish; the one still ahead
+    // is handed back and fires nothing.
     Simulation sim;
-    ServerPool pool(sim.queue(), 1);
-    pool.submit(usecs(10), [] {});
+    ServiceStage stage(sim.queue(), usecs(10), EventCategory::Other);
+    std::vector<std::pair<int, Tick>> done_at;
+    for (const int i : {1, 2, 3}) {
+        stage.place(i == 3 ? usecs(30) : usecs(i), 0,
+                    [&, i] { done_at.emplace_back(i, sim.now()); });
+    }
+    sim.runUntil(usecs(5));
+    EXPECT_EQ(stage.arrived(), 2u);
+    std::vector<ServiceStage::Withdrawn> out = stage.withdrawUnarrived();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].arrival, usecs(30));
     sim.run();
-    pool.resetStats();
-    sim.runUntil(usecs(30));
-    EXPECT_NEAR(pool.utilization(), 0.0, 1e-9);
-    EXPECT_EQ(pool.completedCount(), 0u);
+    EXPECT_EQ(done_at, (std::vector<std::pair<int, Tick>>{
+                           {1, usecs(11)}, {2, usecs(21)}}));
+    EXPECT_EQ(sim.queue().firedCount(), 2u);
+    EXPECT_EQ(stage.arrived(), 2u);
 }
 
 TEST(Semaphore, AcquireBlocksUntilRelease)
