@@ -90,7 +90,8 @@ OltpEngine::worker(int id)
             {
                 CpuLease lease = co_await node_.cpus().acquire(
                     osmodel::CpuPool::kNormalPriority, wkey);
-                // The overheads ride the first and last latch pairs.
+                // The latch pairs run back to back as one chain; the
+                // overheads ride its first and last pairs.
                 osmodel::Charges lead;
                 lead.add(config_.io_kernel_overhead, CpuCat::Kernel);
                 lead.add(config_.io_other_overhead, CpuCat::Other);
@@ -100,19 +101,23 @@ OltpEngine::worker(int id)
                     wait = {config_.polling_overhead, CpuCat::Dsa};
                 const osmodel::Charge none;
                 const int pairs = config_.io_latch_pairs;
+                osmodel::SyncChain chain;
                 for (int p = 0; p < pairs; ++p) {
+                    if (chain.full())
+                        co_await osmodel::SimLock::syncChain(lease, chain);
                     osmodel::SimLock &latch =
                         *latches_[next_latch];
                     next_latch =
                         (next_latch + 1) % latches_.size();
                     const osmodel::Charge &after =
                         p + 1 < pairs ? none : wait;
-                    co_await latch.syncPair(lease, CpuCat::Lock,
-                                            config_.latch_hold, lead,
-                                            after);
+                    chain.add(latch, CpuCat::Lock, config_.latch_hold,
+                              lead, after);
                     lead.count = 0;
                 }
-                if (pairs == 0) {
+                if (pairs > 0) {
+                    co_await osmodel::SimLock::syncChain(lease, chain);
+                } else {
                     co_await lease.run(config_.io_kernel_overhead,
                                        CpuCat::Kernel);
                     co_await lease.run(config_.io_other_overhead,

@@ -12,6 +12,8 @@ using osmodel::Charge;
 using osmodel::Charges;
 using osmodel::CpuCat;
 using osmodel::CpuLease;
+using osmodel::SimLock;
+using osmodel::SyncChain;
 
 const char *
 dsaImplName(DsaImpl impl)
@@ -597,8 +599,9 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
     if (io.msg.op == DsaOp::Write)
         build += digestTicks(io.msg.len, costs.digest_per_kb);
 
-    const Charge none;
     Charges lead; // rides the next sync pair
+    // The pairs up to the registration run back to back as one chain.
+    SyncChain chain;
     switch (impl_) {
       case DsaImpl::Kdsa:
         // Standard kernel storage API: the I/O manager runs first
@@ -606,13 +609,15 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
         // stacked driver layers (class/miniport), then the thin
         // kDSA driver itself.
         co_await lease.run(build, CpuCat::Dsa);
-        co_await node_.ioManager().issueRequest(lease, pages,
-                                                /*pin_buffer=*/true);
+        node_.ioManager().appendIssue(chain, pages,
+                                      /*pin_buffer=*/true);
         for (int layer = 0; layer < config_.kdsa_extra_layers;
              ++layer) {
+            if (chain.full())
+                co_await SimLock::syncChain(lease, chain);
             lead.add(config_.driver_layer_cost, CpuCat::Kernel);
-            co_await node_.ioManager().dispatchLock().syncPair(
-                lease, CpuCat::Kernel, -1, lead, none);
+            chain.add(node_.ioManager().dispatchLock(), CpuCat::Kernel,
+                      -1, lead);
             lead.count = 0;
         }
         lead.add(costs.kdsa_issue, CpuCat::Dsa);
@@ -632,20 +637,23 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
             impl_ == DsaImpl::Wdsa ? costs.wdsa_lock_hold
                                    : sim::Tick{-1};
         for (int i = 0; i < ownSyncPairs(); ++i) {
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa, hold, lead,
-                                        none);
+            if (chain.full())
+                co_await SimLock::syncChain(lease, chain);
+            chain.add(own_lock_, CpuCat::Dsa, hold, lead);
             lead.count = 0;
         }
     }
+    co_await SimLock::syncChain(lease, chain);
 
-    // Register the I/O buffer (dynamic, per section 3.1).
+    // Register the I/O buffer (dynamic, per section 3.1). The
+    // registration sees the cache as it is now, so it ends the chain
+    // above and starts the next.
     auto reg = reg_cache_->acquire(io.buffer, io.msg.len);
     if (reg.has_value()) {
         io.handle = reg->handle;
         lead.add(reg->cost, CpuCat::Vi);
     }
-    co_await vi_send_lock_.syncPair(lease, CpuCat::Vi, -1, lead, none);
-    lead.count = 0;
+    chain.add(vi_send_lock_, CpuCat::Vi, -1, lead);
 
     // The request doorbell; a write stages its payload into the
     // server's granted slot first (in-order delivery puts it there
@@ -656,7 +664,8 @@ DsaClient::issuePath(CpuLease &lease, PendingIo &io)
         post.ticks += nic_.costs().doorbell;
     if (impl_ == DsaImpl::Kdsa)
         post.ticks += nic_.costs().kernel_transition;
-    co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi, -1, lead, post);
+    chain.add(vi_recv_lock_, CpuCat::Vi, -1, Charges(), post);
+    co_await SimLock::syncChain(lease, chain);
     postRequest(io);
 
     // kDSA interrupt batching: while completion interrupts are off,
@@ -815,8 +824,8 @@ DsaClient::drainRecvCq(CpuLease lease, bool interrupt_context)
     applyArmPolicy();
 }
 
-sim::Task<>
-DsaClient::releaseBuffer(CpuLease &lease, PendingIo &io, Charge after)
+void
+DsaClient::appendRelease(SyncChain &chain, PendingIo &io, Charge after)
 {
     // The deregistration charge rides the next sync pair. A
     // buffer-less request (hint) has nothing to release.
@@ -845,12 +854,10 @@ DsaClient::releaseBuffer(CpuLease &lease, PendingIo &io, Charge after)
             page_lock += static_cast<sim::Tick>(pages) *
                          node_.costs().probe_lock_page;
         }
-        const Charge none;
-        co_await node_.memoryLock().syncPair(lease, CpuCat::Vi,
-                                             page_lock, lead, none);
+        chain.add(node_.memoryLock(), CpuCat::Vi, page_lock, lead);
         lead.count = 0;
     }
-    co_await vi_recv_lock_.syncPair(lease, CpuCat::Vi, -1, lead, after);
+    chain.add(vi_recv_lock_, CpuCat::Vi, -1, lead, after);
 }
 
 sim::Task<>
@@ -905,37 +912,46 @@ DsaClient::completeFromResponse(CpuLease &lease,
     const osmodel::HostCosts &host = node_.costs();
     const uint64_t pages = sim::pageSpan(io->buffer, io->msg.len);
 
-    // The charges beside a sync pair ride it.
+    // The charges beside a sync pair ride it, and the pairs run as
+    // chains: the driver's own up to the buffer release, whose
+    // registration-cache update ends the chain, and the release's
+    // pairs (with the I/O manager's, for kDSA) after it.
     const Charge none;
     Charges lead;
+    SyncChain chain;
     switch (impl_) {
       case DsaImpl::Kdsa:
         lead.add(costs.kdsa_complete, CpuCat::Dsa);
         // Completions unwind back up through any stacked layers.
         for (int layer = 0; layer < config_.kdsa_extra_layers;
              ++layer) {
+            if (chain.full())
+                co_await SimLock::syncChain(lease, chain);
             lead.add(config_.driver_layer_cost, CpuCat::Kernel);
-            co_await node_.ioManager().dispatchLock().syncPair(
-                lease, CpuCat::Kernel, -1, lead, none);
+            chain.add(node_.ioManager().dispatchLock(), CpuCat::Kernel,
+                      -1, lead);
             lead.count = 0;
         }
         for (int i = 0; i < ownSyncPairs(); ++i) {
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa, -1, lead,
-                                        none);
+            if (chain.full())
+                co_await SimLock::syncChain(lease, chain);
+            chain.add(own_lock_, CpuCat::Dsa, -1, lead);
             lead.count = 0;
         }
-        co_await releaseBuffer(lease, *io, none);
-        co_await node_.ioManager().completeRequest(
-            lease, pages, /*unpin_buffer=*/true);
+        co_await SimLock::syncChain(lease, chain);
+        appendRelease(chain, *io, none);
+        node_.ioManager().appendCompletion(chain, pages,
+                                           /*unpin_buffer=*/true);
+        co_await SimLock::syncChain(lease, chain);
         break;
       case DsaImpl::Wdsa: {
         lead.add(costs.wdsa_complete, CpuCat::Dsa);
         for (int i = 0; i < ownSyncPairs(); ++i) {
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa,
-                                        costs.wdsa_lock_hold, lead,
-                                        none);
+            chain.add(own_lock_, CpuCat::Dsa, costs.wdsa_lock_hold,
+                      lead);
             lead.count = 0;
         }
+        co_await SimLock::syncChain(lease, chain);
         // Win32 completion: signal the app's event through the
         // kernel and switch to the waiting thread; satisfying
         // kernel32 semantics costs extra system calls (section 2.2:
@@ -944,19 +960,21 @@ DsaClient::completeFromResponse(CpuLease &lease,
         const Charge signal{2 * host.syscall + host.event_signal +
                                 host.context_switch,
                             CpuCat::Kernel};
-        co_await releaseBuffer(lease, *io, signal);
+        appendRelease(chain, *io, signal);
+        co_await SimLock::syncChain(lease, chain);
         break;
       }
       case DsaImpl::Cdsa: {
         // Message-mode cDSA (interrupt batching disabled).
         lead.add(costs.cdsa_complete, CpuCat::Dsa);
         for (int i = 0; i < ownSyncPairs(); ++i) {
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa, -1, lead,
-                                        none);
+            chain.add(own_lock_, CpuCat::Dsa, -1, lead);
             lead.count = 0;
         }
+        co_await SimLock::syncChain(lease, chain);
         const Charge wake{host.context_switch, CpuCat::Kernel};
-        co_await releaseBuffer(lease, *io, wake);
+        appendRelease(chain, *io, wake);
+        co_await SimLock::syncChain(lease, chain);
         break;
       }
     }
@@ -1047,16 +1065,18 @@ DsaClient::awaitCompletion(PendingIo &io)
         const Charge none;
         Charges lead;
         lead.add(complete, CpuCat::Dsa);
+        SyncChain chain;
         for (int i = 0; i < ownSyncPairs(); ++i) {
-            co_await own_lock_.syncPair(lease, CpuCat::Dsa, -1, lead,
-                                        none);
+            chain.add(own_lock_, CpuCat::Dsa, -1, lead);
             lead.count = 0;
         }
+        co_await SimLock::syncChain(lease, chain);
         if (!config_.opts.reduced_sync) {
             co_await lease.run(node_.costs().sync_restructure,
                                CpuCat::Dsa);
         }
-        co_await releaseBuffer(lease, io, none);
+        appendRelease(chain, io, none);
+        co_await SimLock::syncChain(lease, chain);
         cpus().release();
     }
     co_return io.ok;

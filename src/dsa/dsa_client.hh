@@ -246,12 +246,13 @@ class DsaClient : public BlockDevice
     sim::Task<> completeFromResponse(osmodel::CpuLease &lease,
                                      const ResponseMsg &response);
 
-    /** Releases the I/O buffer's registration (batched bookkeeping,
-     *  or a per-I/O deregistration under the global memory lock),
-     *  then runs the receive-side VI sync pair with @p after just
-     *  after it. */
-    sim::Task<> releaseBuffer(osmodel::CpuLease &lease, PendingIo &io,
-                              osmodel::Charge after);
+    /** Releases the I/O buffer's registration now (batched
+     *  bookkeeping, or a per-I/O deregistration under the global
+     *  memory lock), and appends the deregistration's memory-lock
+     *  pair, if any, and the receive-side VI sync pair with @p after
+     *  just after it to @p chain. Takes up to two steps. */
+    void appendRelease(osmodel::SyncChain &chain, PendingIo &io,
+                       osmodel::Charge after);
 
     /** Applies the kDSA interrupt-(re)arming policy. */
     void applyArmPolicy();

@@ -40,8 +40,9 @@ LocalBackend::submit(bool is_write, uint64_t offset, uint64_t len,
 
     {
         CpuLease lease = co_await node_.cpus().acquire();
-        co_await node_.ioManager().issueRequest(lease, pages,
-                                                /*pin_buffer=*/true);
+        osmodel::SyncChain chain;
+        node_.ioManager().appendIssue(chain, pages, /*pin_buffer=*/true);
+        co_await osmodel::SimLock::syncChain(lease, chain);
         co_await lease.run(costs_.issue, CpuCat::Kernel);
         node_.cpus().release();
     }
@@ -97,8 +98,10 @@ LocalBackend::interruptHandler(CpuLease lease)
         Done done = done_queue_.front();
         done_queue_.pop_front();
         co_await lease.run(costs_.complete, CpuCat::Kernel);
-        co_await node_.ioManager().completeRequest(
-            lease, done.pages, /*unpin_buffer=*/true);
+        osmodel::SyncChain chain;
+        node_.ioManager().appendCompletion(chain, done.pages,
+                                           /*unpin_buffer=*/true);
+        co_await osmodel::SimLock::syncChain(lease, chain);
         done.completion->set(done.ok);
     }
 }

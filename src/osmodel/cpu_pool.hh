@@ -11,20 +11,23 @@
  * Usage contract:
  *  - acquire a lease (`co_await pool.acquire()`), possibly at
  *    interrupt priority;
- *  - while holding it, only advance time through `lease.run(d, cat)`
- *    or `SimLock::syncPair` (lock waits spin, so the CPU stays busy);
- *    a CPU charge directly beside a sync pair rides the pair as its
- *    `before`/`after` charge instead of running on its own;
+ *  - while holding it, only advance time through `lease.run(d, cat)`,
+ *    `SimLock::syncPair` or `SimLock::syncChain` (lock waits spin, so
+ *    the CPU stays busy); a CPU charge directly beside a sync pair
+ *    rides the pair as its `before`/`after` charge instead of running
+ *    on its own, and pairs run back to back with nothing else between
+ *    them go as one chain;
  *  - never hold a lease across an I/O or network wait — release and
  *    re-acquire instead (that is what a blocked thread does).
  *
  * Under this contract the per-category busy sums exactly tile the
  * CPU-time the pool hands out, so breakdowns always add up. Each
- * charge is a busy interval with explicit bounds: a sync pair opens
- * all of its pieces when it is called, so an interval may start in
- * the future, and a lock interval's end follows its batch until the
- * batch end is final. Busy time counts each interval's part that has
- * elapsed inside the current window, at any instant.
+ * charge is a busy interval with explicit bounds: a sync chain opens
+ * the pieces of all of its pairs when it is called, so an interval
+ * may start in the future, and a lock interval's end, with every
+ * later piece of its chain, follows its batch until the batch end is
+ * final. Busy time counts each interval's part that has elapsed
+ * inside the current window, at any instant.
  */
 
 #ifndef V3SIM_OSMODEL_CPU_POOL_HH
@@ -153,8 +156,9 @@ class CpuPool : private sim::TickArbiter
 
     /** A busy interval [start, end) charged to @p cat. The start may
      *  lie in the future (a charge queued behind others on the same
-     *  lease); the end is fixed, or, for a lock interval, moved by
-     *  SimLock until its batch end is final. Once time reaches the
+     *  lease); SimLock moves a sync chain's intervals with their
+     *  batches until the batch ends are final, otherwise they are
+     *  fixed. Once time reaches the
      *  end, min(hold, elapsed) of it counts to @p hold_cat instead.
      *  The window accounting is exact: an interval crossing a
      *  resetStats() boundary contributes to each window only the time

@@ -9,16 +9,14 @@ IoManager::IoManager(sim::Simulation &sim, const HostCosts &costs)
       dispatch_lock_(sim, costs, "iomgr.dispatch")
 {}
 
-sim::Task<>
-IoManager::issueRequest(CpuLease lease, uint64_t buffer_pages,
-                        bool pin_buffer)
+void
+IoManager::appendIssue(SyncChain &chain, uint64_t buffer_pages,
+                       bool pin_buffer)
 {
     requests_.increment();
-    // The CPU charges before each pair ride it.
-    const Charge none;
     Charges enter;
     enter.add(costs_.syscall, CpuCat::Kernel);
-    co_await queue_lock_.syncPair(lease, CpuCat::Kernel, -1, enter, none);
+    chain.add(queue_lock_, CpuCat::Kernel, -1, enter);
     sim::Tick irp_ticks = costs_.irp_issue;
     if (pin_buffer) {
         irp_ticks += static_cast<sim::Tick>(buffer_pages) *
@@ -26,15 +24,14 @@ IoManager::issueRequest(CpuLease lease, uint64_t buffer_pages,
     }
     Charges irp;
     irp.add(irp_ticks, CpuCat::Kernel);
-    co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel, -1, irp,
-                                     none);
+    chain.add(dispatch_lock_, CpuCat::Kernel, -1, irp);
 }
 
-sim::Task<>
-IoManager::completeRequest(CpuLease lease, uint64_t buffer_pages,
-                           bool unpin_buffer)
+void
+IoManager::appendCompletion(SyncChain &chain, uint64_t buffer_pages,
+                            bool unpin_buffer)
 {
-    co_await queue_lock_.syncPair(lease, CpuCat::Kernel);
+    chain.add(queue_lock_, CpuCat::Kernel);
     sim::Tick irp_ticks = costs_.irp_complete;
     if (unpin_buffer) {
         irp_ticks += static_cast<sim::Tick>(buffer_pages) *
@@ -44,8 +41,7 @@ IoManager::completeRequest(CpuLease lease, uint64_t buffer_pages,
     irp.add(irp_ticks, CpuCat::Kernel);
     // Then wake the thread that blocked in the I/O system call.
     const Charge wake{costs_.context_switch, CpuCat::Kernel};
-    co_await dispatch_lock_.syncPair(lease, CpuCat::Kernel, -1, irp,
-                                     wake);
+    chain.add(dispatch_lock_, CpuCat::Kernel, -1, irp, wake);
 }
 
 } // namespace v3sim::osmodel

@@ -13,8 +13,12 @@
  *  completion:    IRP completion processing, two more sync pairs,
  *                 buffer unlock, and waking the issuing thread.
  *
- * All, work is charged to CpuCat::Kernel (sync pairs split their
- * cost between Lock and Kernel per SimLock's accounting).
+ * All work is charged to CpuCat::Kernel (sync pairs split their
+ * cost between Lock and Kernel per SimLock's accounting). Each side
+ * is a run of sync pairs with its charges riding them, so the I/O
+ * manager appends it to the caller's SyncChain: a driver's own pairs
+ * before or after it join the same chain, and the whole run costs
+ * one event.
  */
 
 #ifndef V3SIM_OSMODEL_IO_MANAGER_HH
@@ -27,7 +31,6 @@
 #include "osmodel/sim_lock.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
-#include "sim/task.hh"
 
 namespace v3sim::osmodel
 {
@@ -42,21 +45,24 @@ class IoManager
     IoManager &operator=(const IoManager &) = delete;
 
     /**
-     * Kernel-side issue work for one request, run on the caller's
-     * CPU. @p buffer_pages is the request buffer's page span;
-     * @p pin_buffer selects whether probe-and-lock happens (true for
-     * any DMA-capable driver below).
+     * Appends the kernel-side issue work for one request to
+     * @p chain, run on the caller's CPU: syscall entry into the queue
+     * lock's pair, IRP work into the dispatch lock's. @p buffer_pages
+     * is the request buffer's page span; @p pin_buffer selects
+     * whether probe-and-lock happens (true for any DMA-capable driver
+     * below). Takes two steps.
      */
-    sim::Task<> issueRequest(CpuLease lease, uint64_t buffer_pages,
-                             bool pin_buffer);
+    void appendIssue(SyncChain &chain, uint64_t buffer_pages,
+                     bool pin_buffer);
 
     /**
-     * Kernel-side completion work: IRP completion, sync pairs,
-     * buffer unlock, and the context switch that wakes the waiting
-     * application thread.
+     * Appends the kernel-side completion work to @p chain: the queue
+     * lock's pair, IRP completion and buffer unlock into the dispatch
+     * lock's, and the context switch that wakes the waiting
+     * application thread after it. Takes two steps.
      */
-    sim::Task<> completeRequest(CpuLease lease, uint64_t buffer_pages,
-                                bool unpin_buffer);
+    void appendCompletion(SyncChain &chain, uint64_t buffer_pages,
+                          bool unpin_buffer);
 
     uint64_t requestCount() const { return requests_.value(); }
 

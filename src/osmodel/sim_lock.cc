@@ -1,7 +1,6 @@
 #include "sim_lock.hh"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 
 namespace v3sim::osmodel
@@ -17,94 +16,151 @@ SimLock::SimLock(sim::Simulation &sim, const HostCosts &costs,
 {}
 
 sim::Task<>
-SimLock::syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold,
-                  Charges before, Charge after)
+SimLock::syncChain(CpuLease lease, SyncChain &chain)
+{
+    // Most chains are one or two pairs long; their frame holds two
+    // steps, not kCapacity.
+    constexpr size_t kShort = 2;
+    const uint8_t count = chain.count;
+    chain.count = 0;
+    if (count <= kShort) {
+        std::array<SyncStep, kShort> steps;
+        std::copy_n(chain.steps, count, steps.begin());
+        return runChain(lease, steps, count);
+    }
+    std::array<SyncStep, SyncChain::kCapacity> steps;
+    std::copy_n(chain.steps, count, steps.begin());
+    return runChain(lease, steps, count);
+}
+
+template <size_t N>
+sim::Task<>
+SimLock::runChain(CpuLease lease, std::array<SyncStep, N> steps,
+                  uint8_t count)
 {
     assert(lease.valid());
-    if (hold < 0)
-        hold = costs_.lock_hold;
-
-    acquisitions_.increment();
-    // Every piece of the pair is its own busy interval on our
+    assert(count > 0);
+    // Every piece of every pair is its own busy interval on our
     // still-held CPU, opened now even where it starts later, so the
     // accounting at any instant and across any window reset is that
-    // of running the pieces one after another. The before charges
-    // run back to back from now, then the acquire op (always paid,
-    // contended or not); the lock is reached when it ends.
+    // of running the pieces one after another. Placement sets their
+    // bounds and moves them with their step: the before charges back
+    // to back up to the acquire op (always paid, contended or not);
+    // one Lock interval over the acquire op, the spin, the critical
+    // section and the release op, ending with the batch, from when on
+    // the critical section counts to hold_cat (a window reset clips
+    // the acquire op before the stay, and the stay is at least
+    // hold + release, so min(hold, clipped) is its share); the after
+    // charge from the batch end on.
     CpuPool &pool = *lease.pool();
-    std::array<CpuPool::Run *, 2> lead{};
-    sim::Tick at = sim_.now();
-    for (uint8_t i = 0; i < before.count; ++i) {
-        const Charge &charge = before.items[i];
-        if (charge.ticks > 0) {
-            lead[i] = pool.beginRun(charge.cat, at, at + charge.ticks);
-            at += charge.ticks;
+    Member members[N];
+    for (uint8_t k = 0; k < count; ++k) {
+        const SyncStep &step = steps[k];
+        SimLock &lock = *step.lock;
+        Member &m = members[k];
+        const sim::Tick hold =
+            step.hold < 0 ? lock.costs_.lock_hold : step.hold;
+        lock.acquisitions_.increment();
+        m.lock = &lock;
+        m.stay = hold + lock.costs_.lock_release;
+        for (uint8_t i = 0; i < step.before.count; ++i) {
+            const Charge &charge = step.before.items[i];
+            if (charge.ticks > 0) {
+                m.lead[i] = pool.beginRun(charge.cat, 0, charge.ticks);
+                m.lead_ticks += charge.ticks;
+            }
         }
-    }
-    const sim::Tick arrival = at + costs_.lock_acquire;
-    // One Lock interval covers the acquire op, the spin, the critical
-    // section and the release op. It ends when our batch does, and
-    // from then on the critical section counts to hold_cat: a window
-    // reset clips the acquire op before the stay, and the stay is at
-    // least hold + release, so min(hold, clipped) is the critical
-    // section's share. The after charge starts when the batch ends.
-    // place() ties both to the batch end.
-    Member self;
-    self.lock_run = pool.beginRun(CpuCat::Lock, at, arrival);
-    self.lock_run->hold = hold;
-    self.lock_run->hold_cat = hold_cat;
-    if (after.ticks > 0) {
-        self.after = after.ticks;
-        self.after_run = pool.beginRun(after.cat, arrival, arrival);
+        m.lock_run = pool.beginRun(CpuCat::Lock, 0, 0);
+        m.lock_run->hold = hold;
+        m.lock_run->hold_cat = step.hold_cat;
+        if (step.after.ticks > 0) {
+            m.after = step.after.ticks;
+            m.after_run = pool.beginRun(step.after.cat, 0, 0);
+        }
+        if (k > 0)
+            members[k - 1].succ = &m;
     }
 
-    // Park in our batch and resume when we exit. Local awaiter: it
-    // has access to the enclosing class's private members.
-    struct BatchJoin
+    // Park every step and resume when the last one exits. Local
+    // awaiter: it has access to the enclosing class's private
+    // members.
+    struct ChainJoin
     {
-        SimLock *lock;
-        Member *member;
+        Member *first;
+        Member *last;
         sim::Tick arrival;
-        sim::Tick stay;
 
         bool await_ready() const { return false; }
 
         void
         await_suspend(std::coroutine_handle<> h) const
         {
-            member->handle = h;
-            lock->place(member, arrival, stay);
+            last->handle = h;
+            placeChain(first, arrival);
         }
 
         void await_resume() const {}
     };
-    co_await BatchJoin{this, &self, arrival,
-                       hold + costs_.lock_release};
+    const SimLock &head = *members[0].lock;
+    const sim::Tick arrival = head.sim_.now() + members[0].lead_ticks +
+                              head.costs_.lock_acquire;
+    co_await ChainJoin{&members[0], &members[count - 1], arrival};
 
-    // Now is our batch's end plus the after charge. Spin time beyond
-    // the member's own hold+release means the batch had company (or
-    // queued behind another batch).
-    const sim::Tick spin = sim_.now() - self.after - arrival - hold -
-                           costs_.lock_release;
-    for (CpuPool::Run *run : lead) {
-        if (run != nullptr)
-            pool.endRun(run);
-    }
-    pool.endRun(self.lock_run);
-    if (self.after_run != nullptr)
-        pool.endRun(self.after_run);
-    if (spin > 0) {
-        contended_.increment();
-        total_wait_ += spin;
+    // Now is the last batch's end plus its after charge; every
+    // earlier step's batch has ended. Spin time beyond a member's own
+    // hold+release means its batch had company (or queued behind
+    // another batch).
+    for (uint8_t k = 0; k < count; ++k) {
+        Member &m = members[k];
+        const sim::Tick spin = m.lock_run->end - m.arrival - m.stay;
+        for (CpuPool::Run *run : m.lead) {
+            if (run != nullptr)
+                pool.endRun(run);
+        }
+        pool.endRun(m.lock_run);
+        if (m.after_run != nullptr)
+            pool.endRun(m.after_run);
+        if (spin > 0) {
+            m.lock->contended_.increment();
+            m.lock->total_wait_ += spin;
+        }
+        if (m.succ != nullptr)
+            m.lock->leave(&m);
     }
 }
 
 void
-SimLock::place(Member *member, sim::Tick arrival, sim::Tick stay)
+SimLock::placeChain(Member *first, sim::Tick arrival)
+{
+    Worklist work;
+    first->lock->retime(first, arrival);
+    first->lock->place(first, arrival, work);
+    // A member on the list has a batch end its successor's arrival
+    // may no longer match. Every re-placement lies strictly later
+    // than the batch that caused it, so the list runs dry.
+    while (Member *m = work.head) {
+        work.head = m->queued;
+        m->in_work = false;
+        Member *succ = m->succ;
+        SimLock &lock = *succ->lock;
+        const sim::Tick at = m->lock_run->end + m->after +
+                             succ->lead_ticks + lock.costs_.lock_acquire;
+        if (at == succ->arrival)
+            continue;
+        if (succ->arrival >= 0)
+            lock.withdraw(succ, work);
+        lock.retime(succ, at);
+        lock.place(succ, at, work);
+    }
+}
+
+void
+SimLock::place(Member *member, sim::Tick arrival, Worklist &work)
 {
     // Arrivals never lie in the past, so everything this moves is a
     // batch that has not started.
     assert(arrival >= sim_.now());
+    member->arrival = arrival;
     // Search from the tail: most contenders arrive after every batch.
     size_t i = batches_.size();
     while (i > 0 && batches_[i - 1].arrival > arrival)
@@ -116,39 +172,118 @@ SimLock::place(Member *member, sim::Tick arrival, sim::Tick stay)
         Batch &batch = batches_[i - 1];
         batch.tail->next = member;
         batch.tail = member;
-        batch.end += stay;
-        for (Member *m = batch.head; m != nullptr; m = m->next)
-            tie(batch, m);
-        armExit(batch);
+        batch.end += member->stay;
+        member->batch = batch.id;
+        moved(batch, work);
     } else {
         const sim::Tick start =
             i > 0 ? std::max(arrival, batches_[i - 1].end) : arrival;
+        member->batch = next_id_++;
         const auto it = batches_.insert(
             batches_.begin() + static_cast<std::ptrdiff_t>(i),
-            Batch{next_id_++, arrival, start, start + stay, -1, member,
-                  member});
-        tie(*it, member);
-        armExit(*it);
+            Batch{member->batch, arrival, start, start + member->stay,
+                  -1, {}, member, member});
+        moved(*it, work);
         ++i;
     }
-    // Push back the batches behind it, up to the first that keeps its
-    // start.
-    for (; i < batches_.size(); ++i) {
-        const sim::Tick start =
-            std::max(batches_[i].arrival, batches_[i - 1].end);
-        if (start == batches_[i].start)
-            break;
-        moveTo(batches_[i], start);
+    settle(i, work);
+}
+
+void
+SimLock::withdraw(Member *member, Worklist &work)
+{
+    assert(member->arrival > sim_.now());
+    const size_t i = indexOf(member->batch);
+    Batch &batch = batches_[i];
+    unlink(batch, member);
+    member->arrival = -1;
+    if (batch.head == nullptr) {
+        batch.exit.cancel();
+        batches_.erase(batches_.begin() + static_cast<std::ptrdiff_t>(i));
+        settle(i, work);
+    } else {
+        batch.end -= member->stay;
+        moved(batch, work);
+        settle(i + 1, work);
     }
 }
 
 void
-SimLock::moveTo(Batch &batch, sim::Tick start)
+SimLock::leave(Member *member)
 {
-    batch.end += start - batch.start;
-    batch.start = start;
-    for (Member *m = batch.head; m != nullptr; m = m->next)
+    const size_t i = indexOf(member->batch);
+    Batch &batch = batches_[i];
+    unlink(batch, member);
+    // An ended batch moves nothing behind it: every batch there
+    // starts at or after its end.
+    if (batch.head == nullptr)
+        batches_.erase(batches_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void
+SimLock::unlink(Batch &batch, Member *member)
+{
+    Member **link = &batch.head;
+    Member *prev = nullptr;
+    while (*link != member) {
+        prev = *link;
+        link = &prev->next;
+    }
+    *link = member->next;
+    member->next = nullptr;
+    if (batch.tail == member)
+        batch.tail = prev;
+}
+
+size_t
+SimLock::indexOf(uint64_t id) const
+{
+    const auto it =
+        std::find_if(batches_.begin(), batches_.end(),
+                     [id](const Batch &b) { return b.id == id; });
+    return static_cast<size_t>(it - batches_.begin());
+}
+
+void
+SimLock::settle(size_t i, Worklist &work)
+{
+    for (; i < batches_.size(); ++i) {
+        Batch &batch = batches_[i];
+        const sim::Tick start =
+            i > 0 ? std::max(batch.arrival, batches_[i - 1].end)
+                  : batch.arrival;
+        if (start == batch.start)
+            break;
+        batch.end += start - batch.start;
+        batch.start = start;
+        moved(batch, work);
+    }
+}
+
+void
+SimLock::moved(Batch &batch, Worklist &work)
+{
+    for (Member *m = batch.head; m != nullptr; m = m->next) {
         tie(batch, m);
+        work.push(m);
+    }
+    armExit(batch);
+}
+
+void
+SimLock::retime(Member *member, sim::Tick arrival) const
+{
+    sim::Tick at = arrival - costs_.lock_acquire;
+    member->lock_run->start = at;
+    at -= member->lead_ticks;
+    for (CpuPool::Run *run : member->lead) {
+        if (run != nullptr) {
+            const sim::Tick len = run->end - run->start;
+            run->start = at;
+            run->end = at + len;
+            at += len;
+        }
+    }
 }
 
 void
@@ -164,12 +299,17 @@ SimLock::tie(const Batch &batch, Member *member)
 void
 SimLock::armExit(Batch &batch)
 {
+    // Only a chain's last step resumes anyone.
     sim::Tick first = std::numeric_limits<sim::Tick>::max();
-    for (const Member *m = batch.head; m != nullptr; m = m->next)
-        first = std::min(first, batch.end + m->after);
-    // Exits only move out, so a live event that fires no later than
-    // the first exit re-arms when it fires early.
-    if (batch.armed >= 0 && batch.armed <= first)
+    for (const Member *m = batch.head; m != nullptr; m = m->next) {
+        if (m->handle)
+            first = std::min(first, batch.end + m->after);
+    }
+    if (first == batch.armed)
+        return;
+    batch.exit.cancel();
+    batch.armed = -1;
+    if (first == std::numeric_limits<sim::Tick>::max())
         return;
     batch.armed = first;
     const uint64_t id = batch.id;
@@ -177,7 +317,7 @@ SimLock::armExit(Batch &batch)
     // so the batch stays open to every same-tick contender
     // (DESIGN.md §8.3).
     if (first > sim_.now()) {
-        sim_.queue().scheduleAt(
+        batch.exit = sim_.queue().scheduleAtCancelable(
             first, [this, id] { onExit(id); },
             sim::EventCategory::LockExit);
     } else {
@@ -201,22 +341,20 @@ void
 SimLock::onExit(uint64_t id)
 {
     const sim::Tick now = sim_.now();
-    const auto it =
-        std::find_if(batches_.begin(), batches_.end(),
-                     [id](const Batch &b) { return b.id == id; });
-    // An event superseded by an earlier arming does nothing.
-    if (it == batches_.end() || it->armed != now)
+    const size_t i = indexOf(id);
+    // A due exit whose batch was re-armed since does nothing.
+    if (i == batches_.size() || batches_[i].armed != now)
         return;
-    Batch &batch = *it;
+    Batch &batch = batches_[i];
     batch.armed = -1;
-    // Unlink the members that exit now, keeping join order in both
-    // lists.
+    // Unlink the last steps that exit now, keeping join order in
+    // both lists. Earlier steps stay until their chain resumes.
     Member *due = nullptr;
     Member **due_end = &due;
     Member **link = &batch.head;
     batch.tail = nullptr;
     while (Member *m = *link) {
-        if (batch.end + m->after == now) {
+        if (m->handle && batch.end + m->after == now) {
             *link = m->next;
             m->next = nullptr;
             *due_end = m;
@@ -227,7 +365,7 @@ SimLock::onExit(uint64_t id)
         }
     }
     if (batch.head == nullptr)
-        batches_.erase(it);
+        batches_.erase(batches_.begin() + static_cast<std::ptrdiff_t>(i));
     else
         armExit(batch);
     // Resumed members may call back into the lock; nothing above is

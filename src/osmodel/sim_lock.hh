@@ -13,7 +13,8 @@
  * the waiter's CPU and is charged to the Lock accounting category, so
  * lock contention *emerges* from I/O rate and CPU count instead of
  * being a dialed-in constant — the mechanism behind Figures 9, 11, 12
- * and 14.
+ * and 14. syncChain() runs several such pairs back to back on one
+ * lease, on one lock or many; syncPair() is the one-step chain.
  *
  * Determinism (DESIGN.md §8.3): contenders whose acquire ops land on
  * the same tick are a *race* — their relative order is unspecified
@@ -29,19 +30,31 @@
  * max(arrival, previous batch's end), and the batches behind it are
  * pushed back. A later caller with shorter charges may so overtake
  * an earlier one; arrivals never lie in the past, so only batches
- * that have not started move. A member resumes at its batch's end
- * plus its after charge, one event per batch and exit tick (an event
- * that fires before a moved-out exit re-arms). Members stay suspended
- * until then, so every observable — exit times, spin accounting,
- * contention counts — is a function of the batch *set*, invariant
- * under the tie-shuffle seed. An uncontended pair with its charges
- * costs exactly before + acquire + hold + release + after in one
+ * that have not started move.
+ *
+ * In a chain, the exit of one pair plus its after charge and the next
+ * pair's before charges fix the next pair's arrival, so every step is
+ * placed when the chain is called. Whenever a batch's end moves (a
+ * push-back, a joiner, or a member withdrawn), each member with a
+ * successor re-places it: withdrawn from its lock (which may pull the
+ * batches behind it earlier) and placed again at its new arrival.
+ * Every move only affects strictly later arrivals, so the repair
+ * ends, and the arrangement is the closed form of the arrival set:
+ * that of running the pairs one after another. Only the last step
+ * resumes the caller: each batch arms one cancelable event at its
+ * first final-step exit (batch end plus after charge), and a moved
+ * batch cancels and re-arms it, so a push-back fires nothing.
+ * Members stay suspended until then, so every observable — exit
+ * times, spin accounting, contention counts — is a function of the
+ * batch *set*, invariant under the tie-shuffle seed. An uncontended
+ * chain with its charges costs exactly the sum of its pieces in one
  * event.
  */
 
 #ifndef V3SIM_OSMODEL_SIM_LOCK_HH
 #define V3SIM_OSMODEL_SIM_LOCK_HH
 
+#include <array>
 #include <cassert>
 #include <coroutine>
 #include <iterator>
@@ -82,6 +95,40 @@ struct Charges
     }
 };
 
+class SimLock;
+
+/** One sync pair of a chain, with the CPU charges beside it. */
+struct SyncStep
+{
+    SimLock *lock = nullptr;
+    CpuCat hold_cat = CpuCat::Other;
+    sim::Tick hold = -1; ///< negative: the platform's lock_hold
+    Charges before;
+    Charge after;
+};
+
+/** Sync pairs run back to back on one lease, with nothing between
+ *  them but their charges. A plain value with a fixed capacity, like
+ *  Charges: build it in a named local; a longer run is several chains
+ *  one after another. */
+struct SyncChain
+{
+    static constexpr size_t kCapacity = 8;
+
+    SyncStep steps[kCapacity]{};
+    uint8_t count = 0;
+
+    bool full() const { return count == kCapacity; }
+
+    void
+    add(SimLock &lock, CpuCat hold_cat, sim::Tick hold = -1,
+        Charges before = Charges(), Charge after = Charge())
+    {
+        assert(!full());
+        steps[count++] = SyncStep{&lock, hold_cat, hold, before, after};
+    }
+};
+
 /** One kernel/library lock; batch-fair, spin-wait semantics. */
 class SimLock : private sim::TickArbiter
 {
@@ -95,19 +142,33 @@ class SimLock : private sim::TickArbiter
     const std::string &name() const { return name_; }
 
     /**
-     * Executes one synchronization pair on the caller's CPU, with the
-     * CPU charges beside it: @p before (in order), acquire op + spin
-     * wait + critical section + release op, then @p after. Each
-     * charge counts to its own category; the critical section to
-     * @p hold_cat; lock ops and spin time to CpuCat::Lock. The same
-     * as running the charges with `lease.run` around the pair, in one
-     * event.
+     * Executes @p chain's sync pairs one after another on the
+     * caller's CPU, each with the CPU charges beside it: its before
+     * charges (in order), acquire op + spin wait + critical section +
+     * release op, then its after charge. Each charge counts to its own
+     * category; a critical section to its step's hold_cat; lock ops
+     * and spin time to CpuCat::Lock. The same as running the pairs
+     * and charges one after another, in one event. Takes the steps
+     * out of @p chain at the call, leaving it empty for the next run
+     * of pairs.
+     */
+    static sim::Task<> syncChain(CpuLease lease, SyncChain &chain);
+
+    /**
+     * One synchronization pair with the charges beside it: the
+     * one-step chain.
      *
      * @param hold critical-section length; negative means "use the
      *        platform default" (costs.lock_hold).
      */
-    sim::Task<> syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold,
-                         Charges before, Charge after);
+    sim::Task<>
+    syncPair(CpuLease lease, CpuCat hold_cat, sim::Tick hold,
+             Charges before, Charge after)
+    {
+        SyncChain chain;
+        chain.add(*this, hold_cat, hold, before, after);
+        return syncChain(lease, chain);
+    }
 
     /** A pair with no charges beside it. */
     sim::Task<>
@@ -128,14 +189,32 @@ class SimLock : private sim::TickArbiter
     sim::Tick totalWait() const { return total_wait_; }
 
   private:
-    /** A suspended contender; lives in its syncPair frame. */
+    /** The chain's coroutine, its frame sized for @p N steps, so a
+     *  short chain pays for no unused ones. */
+    template <size_t N>
+    static sim::Task<> runChain(CpuLease lease,
+                                std::array<SyncStep, N> steps,
+                                uint8_t count);
+
+    /** One step of a suspended chain; lives in its runChain frame. */
     struct Member
     {
+        SimLock *lock = nullptr;
+        /** The chain's, on its last step only: the one that resumes. */
         std::coroutine_handle<> handle;
-        sim::Tick after = 0;              ///< exit = batch end + after
+        sim::Tick stay = 0;    ///< hold + release
+        sim::Tick after = 0;   ///< exit = batch end + after
+        sim::Tick arrival = -1; ///< -1 until placed
+        uint64_t batch = 0;     ///< id of the batch it sits in
+        /** The before charges, back to back up to the acquire op. */
+        CpuPool::Run *lead[2]{};
+        sim::Tick lead_ticks = 0;
         CpuPool::Run *lock_run = nullptr;  ///< ends at the batch end
         CpuPool::Run *after_run = nullptr; ///< starts at the batch end
-        Member *next = nullptr;            ///< join order
+        Member *next = nullptr;   ///< join order in the batch
+        Member *succ = nullptr;   ///< the chain's next step
+        Member *queued = nullptr; ///< repair worklist link
+        bool in_work = false;
     };
 
     /** Same-tick arrivals, granted and released as one unit. */
@@ -144,25 +223,60 @@ class SimLock : private sim::TickArbiter
         uint64_t id;
         sim::Tick arrival;
         sim::Tick start;
-        sim::Tick end;      ///< start + Σhold + n·release
-        sim::Tick armed;    ///< tick of the live exit event, or -1
+        sim::Tick end;   ///< start + Σhold + n·release
+        sim::Tick armed; ///< tick of the live exit, or -1
+        sim::EventQueue::Handle exit;
         Member *head;
         Member *tail;
     };
 
+    /** Members whose batch end moved, so their successors must be
+     *  placed again; an intrusive stack. */
+    struct Worklist
+    {
+        Member *head = nullptr;
+
+        void
+        push(Member *member)
+        {
+            if (member->succ == nullptr || member->in_work)
+                return;
+            member->in_work = true;
+            member->queued = head;
+            head = member;
+        }
+    };
+
+    /** Places @p first at @p arrival and every later step of its
+     *  chain behind it, repairing what the placements move until
+     *  nothing is left to move. */
+    static void placeChain(Member *first, sim::Tick arrival);
     /** Places @p member arriving at @p arrival: in the batch of that
-     *  tick, else in a new batch at its sorted place; pushes back the
+     *  tick, else in a new batch at its sorted place; moves the
      *  batches behind it. */
-    void place(Member *member, sim::Tick arrival, sim::Tick stay);
-    /** Moves @p batch to @p start, keeping its length, and drags its
-     *  members' tied intervals along. */
-    void moveTo(Batch &batch, sim::Tick start);
+    void place(Member *member, sim::Tick arrival, Worklist &work);
+    /** Takes @p member, not yet arrived, out of its batch and moves
+     *  the batches behind it. */
+    void withdraw(Member *member, Worklist &work);
+    /** Unlinks @p member, whose batch has ended, from it. */
+    void leave(Member *member);
+    static void unlink(Batch &batch, Member *member);
+    /** Index of batch @p id, or batches_.size() if it is gone. */
+    size_t indexOf(uint64_t id) const;
+    /** Re-derives the starts of the batches from index @p i on, up
+     *  to the first that keeps its start. */
+    void settle(size_t i, Worklist &work);
+    /** After @p batch's end moved: re-ties its members, re-arms its
+     *  exit and queues their successors. */
+    void moved(Batch &batch, Worklist &work);
+    /** Sets the before charges and the acquire op of @p member to
+     *  end at @p arrival. */
+    void retime(Member *member, sim::Tick arrival) const;
     static void tie(const Batch &batch, Member *member);
-    /** Arms an exit event at the batch's first member exit unless a
-     *  live one already fires no later. */
+    /** Arms the batch's exit event at its first final-step exit,
+     *  cancelling one armed elsewhere. */
     void armExit(Batch &batch);
-    /** Resumes the members of batch @p id that exit now, or re-arms
-     *  at the first moved-out exit. */
+    /** Resumes the chains whose last step in batch @p id exits now. */
     void onExit(uint64_t id);
     /** Arbiter hook: runs the exits armed on the current tick. */
     void exitDue();
@@ -170,7 +284,9 @@ class SimLock : private sim::TickArbiter
     sim::Simulation &sim_;
     const HostCosts &costs_;
     std::string name_;
-    /** Batches with members still inside, sorted by arrival. */
+    /** Batches with members still inside, sorted by arrival (an
+     *  ended batch stays until the chains of its earlier steps
+     *  resume). */
     std::vector<Batch> batches_;
     /** Ids of batches whose exit falls on the current tick, run by
      *  exitDue() so the batch stays open to every same-tick

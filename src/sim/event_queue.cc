@@ -341,7 +341,6 @@ EventQueue::fireNext()
     Event *event = bottom_.back().event;
     bottom_.pop_back();
     --pending_;
-    now_ = event->when;
     // Counted before the cancellation check so the tally is a pure
     // function of the scheduled ticks, unperturbed by within-tick
     // cancellation order.
@@ -352,6 +351,11 @@ EventQueue::fireNext()
     if (event->control != kNoControl)
         cancelled = releaseControl(event->control);
     if (!cancelled) {
+        // Only a live event moves the clock: a run that drains on
+        // cancelled events ends at the last event that fired. Later
+        // schedules below the drained window land in the sorted
+        // bottom region like any near-past event.
+        now_ = event->when;
         ++fired_by_cat_[static_cast<size_t>(event->category)];
         // The event is already detached from every structure, so the
         // callback may freely schedule (and pool-allocate) more

@@ -223,6 +223,8 @@ class EventQueue
 
     /**
      * Runs events until the queue drains or @p max_events fire.
+     * Afterwards now() is the tick of the last event that fired: a
+     * cancelled event never moves the clock.
      * @return the number of events fired.
      */
     size_t run(size_t max_events = SIZE_MAX);

@@ -557,15 +557,17 @@ V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
 
         bool sent = false;
         if (ok && !integrity_bad && reg.has_value()) {
+            // The digest and the doorbell run as one charge; the
+            // digest reads only the private transient.
             co_await lease.run(
-                digestTicks(req.len, config_.digest_per_kb),
+                digestTicks(req.len, config_.digest_per_kb) +
+                    nic_->costs().doorbell,
                 CpuCat::Other);
             if (!mem.phantom()) {
                 digest = dsa::payloadDigest(
                     mem, tbuf + (req.offset - a_off), req.len);
                 digest_valid = true;
             }
-            co_await lease.run(nic_->costs().doorbell, CpuCat::Other);
             vi::WorkDescriptor desc;
             desc.local_addr = tbuf + (req.offset - a_off);
             desc.len = req.len;
@@ -726,8 +728,8 @@ V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
     // RDMA each block's overlap with the requested range, in order,
     // accumulating the response digest over the delivered bytes
     // (client-buffer order == refs order, so one chained CRC works).
-    co_await lease.run(digestTicks(req.len, config_.digest_per_kb),
-                       CpuCat::Other);
+    // The digest charge rides the first doorbell.
+    sim::Tick digest_ticks = digestTicks(req.len, config_.digest_per_kb);
     uint32_t crc = 0;
     for (const BlockRef &ref : refs) {
         const uint64_t block_start = ref.block * bs;
@@ -737,7 +739,9 @@ V3Server::doRead(Connection &conn, const dsa::RequestMsg &req,
             std::min(block_start + bs, req.offset + req.len);
         if (piece_end <= piece_start)
             continue;
-        co_await lease.run(nic_->costs().doorbell, CpuCat::Other);
+        co_await lease.run(digest_ticks + nic_->costs().doorbell,
+                           CpuCat::Other);
+        digest_ticks = 0;
         vi::WorkDescriptor desc;
         desc.local_addr = ref.frame + (piece_start - block_start);
         desc.len = piece_end - piece_start;

@@ -144,6 +144,29 @@ TEST(EventQueue, CancelledEventIsNotCountedAsFired)
     EXPECT_EQ(q.firedCount(), 1u);
 }
 
+TEST(EventQueue, CancelledEventDoesNotMoveTheClock)
+{
+    // A run that drains on a cancelled event ends at the last live
+    // one, and an event scheduled afterwards below the drained
+    // window (the cancelled events sat in later buckets and in the
+    // overflow heap) still fires at its own tick, in order.
+    EventQueue q;
+    std::vector<Tick> fired;
+    q.scheduleAt(usecs(3), [&] { fired.push_back(q.now()); });
+    auto near = q.scheduleAtCancelable(usecs(40), [] {});
+    auto far = q.scheduleAtCancelable(msecs(500), [] {});
+    near.cancel();
+    far.cancel();
+    q.run();
+    EXPECT_EQ(q.now(), usecs(3));
+    for (const Tick at : {usecs(9), usecs(5), msecs(200)})
+        q.scheduleAt(at, [&] { fired.push_back(q.now()); });
+    q.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{usecs(3), usecs(5), usecs(9),
+                                        msecs(200)}));
+    EXPECT_EQ(q.now(), msecs(200));
+}
+
 TEST(EventQueue, CancelAfterFireIsNoop)
 {
     EventQueue q;

@@ -72,8 +72,10 @@ TEST(IoManager, IssueAndCompleteChargeKernelAndLock)
     Node node(sim, NodeConfig{.name = "host", .cpus = 4});
     sim::spawn([](Node &n) -> Task<> {
         CpuLease lease = co_await n.cpus().acquire();
-        co_await n.ioManager().issueRequest(lease, 2, true);
-        co_await n.ioManager().completeRequest(lease, 2, true);
+        SyncChain chain;
+        n.ioManager().appendIssue(chain, 2, true);
+        n.ioManager().appendCompletion(chain, 2, true);
+        co_await SimLock::syncChain(lease, chain);
         n.cpus().release();
     }(node));
     sim.run();
@@ -96,7 +98,9 @@ TEST(IoManager, PinningIsOptional)
     Node node(sim, NodeConfig{.name = "host", .cpus = 1});
     sim::spawn([](Node &n) -> Task<> {
         CpuLease lease = co_await n.cpus().acquire();
-        co_await n.ioManager().issueRequest(lease, 16, false);
+        SyncChain chain;
+        n.ioManager().appendIssue(chain, 16, false);
+        co_await SimLock::syncChain(lease, chain);
         n.cpus().release();
     }(node));
     sim.run();

@@ -140,6 +140,8 @@ TEST(ServiceStage, WithdrawUnarrivedKeepsArrivedJobs)
                            {1, usecs(11)}, {2, usecs(21)}}));
     EXPECT_EQ(sim.queue().firedCount(), 2u);
     EXPECT_EQ(stage.arrived(), 2u);
+    // The withdrawn job's cancelled event does not move the clock.
+    EXPECT_EQ(sim.now(), usecs(21));
 }
 
 TEST(Semaphore, AcquireBlocksUntilRelease)

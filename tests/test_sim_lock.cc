@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for SimLock: sync-pair costs, closed-form batches kept
- * in arrival order, the CPU charges beside a pair, spin-time and
- * window-reset accounting (in flight and at exit), emergent
+ * in arrival order, the CPU charges beside a pair, chains of pairs
+ * placed at their first call (against sequential pairs), spin-time
+ * and window-reset accounting (in flight and at exit), emergent
  * contention, and tie-shuffle invariance of the same-tick arbitration
  * (DESIGN.md §8.3).
  */
@@ -54,6 +55,38 @@ chargedPair(sim::Simulation &s, CpuPool &p, SimLock &l, Tick call,
     co_await l.syncPair(lease, hold_cat, hold, before, after);
     if (exit != nullptr)
         *exit = s.now();
+    p.release();
+}
+
+/** Runs @p chain on a CPU leased at tick 0, called at tick @p call;
+ *  stores the exit tick in @p exit if given. */
+Task<>
+timedChain(sim::Simulation &s, CpuPool &p, SyncChain chain, Tick call,
+           Tick *exit = nullptr)
+{
+    CpuLease lease = co_await p.acquire();
+    co_await s.sleep(call);
+    co_await SimLock::syncChain(lease, chain);
+    if (exit != nullptr)
+        *exit = s.now();
+    p.release();
+}
+
+/** The same steps as timedChain, as one syncPair after another;
+ *  stores each pair's exit tick in @p exits. */
+Task<>
+sequentialPairs(sim::Simulation &s, CpuPool &p, SyncChain chain,
+                Tick call, std::vector<Tick> *exits = nullptr)
+{
+    CpuLease lease = co_await p.acquire();
+    co_await s.sleep(call);
+    for (uint8_t k = 0; k < chain.count; ++k) {
+        const SyncStep &step = chain.steps[k];
+        co_await step.lock->syncPair(lease, step.hold_cat, step.hold,
+                                     step.before, step.after);
+        if (exits != nullptr)
+            exits->push_back(s.now());
+    }
     p.release();
 }
 
@@ -366,9 +399,9 @@ TEST_F(SimLockTest, InsertionAheadOfArmedBatchReArmsOnce)
 {
     // A is placed (and its exit armed) at tick 0 behind a 5 us before
     // charge; B, calling at 1 us, is inserted ahead of it and pushes
-    // it back. A's armed event fires early and re-arms once: six
-    // events in all (the acquire arbitration, the two sleeps, B's
-    // exit, A's early event, A's exit).
+    // it back. A's armed event is cancelled and re-armed once, so
+    // nothing fires early: five events in all (the acquire
+    // arbitration, the two sleeps, B's exit, A's exit).
     const Tick acquire = costs_.lock_acquire;
     const Tick release = costs_.lock_release;
     Charges slow;
@@ -384,7 +417,7 @@ TEST_F(SimLockTest, InsertionAheadOfArmedBatchReArmsOnce)
     const Tick b_exit = usecs(1) + acquire + usecs(8) + release;
     EXPECT_EQ(exits,
               (std::vector<Tick>{b_exit + usecs(1) + release, b_exit}));
-    EXPECT_EQ(sim_.queue().firedCount(), 6u);
+    EXPECT_EQ(sim_.queue().firedCount(), 5u);
 }
 
 TEST_F(SimLockTest, InFlightAccountingMatchesUnfusedSequence)
@@ -704,6 +737,331 @@ TEST_F(SimLockTest, ContentionGrowsWithConcurrency)
     const Tick wait_low = measure(2);
     const Tick wait_high = measure(16);
     EXPECT_GT(wait_high, 8 * std::max<Tick>(wait_low, 1));
+}
+
+TEST_F(SimLockTest, ChainFiresOneEvent)
+{
+    // Three pairs over two locks, with charges between them, back to
+    // back: one event resumes the caller, and its exit is the sum of
+    // every piece.
+    SimLock other(sim_, costs_, "other");
+    SyncChain chain;
+    Charges lead;
+    lead.add(usecs(2), CpuCat::Kernel);
+    chain.add(lock_, CpuCat::Dsa, usecs(1), lead);
+    chain.add(other, CpuCat::Vi, usecs(3), lead, Charge{usecs(4),
+                                                          CpuCat::Other});
+    chain.add(lock_, CpuCat::Dsa, usecs(5));
+    uint64_t events = 0;
+    Tick exit = -1;
+    sim::spawn([](CpuPool &p, sim::Simulation &s, SyncChain c,
+                  uint64_t &out, Tick &when) -> Task<> {
+        CpuLease lease = co_await p.acquire();
+        const uint64_t before = s.queue().firedCount();
+        co_await SimLock::syncChain(lease, c);
+        out = s.queue().firedCount() - before;
+        when = s.now();
+        p.release();
+    }(pool_, sim_, chain, events, exit));
+    sim_.run();
+    const Tick ops = costs_.lock_acquire + costs_.lock_release;
+    EXPECT_EQ(events, 1u);
+    EXPECT_EQ(exit, usecs(2 + 1 + 2 + 3 + 4 + 5) + 3 * ops);
+    EXPECT_EQ(lock_.acquisitionCount(), 2u);
+    EXPECT_EQ(other.acquisitionCount(), 1u);
+    EXPECT_EQ(lock_.contendedCount() + other.contendedCount(), 0u);
+    EXPECT_EQ(pool_.busyTime(CpuCat::Lock), 3 * ops);
+    EXPECT_EQ(pool_.busyTime(CpuCat::Dsa), usecs(6));
+}
+
+TEST_F(SimLockTest, ChainMatchesSequentialPairsUnderContention)
+{
+    // A three-step chain over locks A and B, each step with charges
+    // beside it, runs against holders that make its first two steps
+    // spin. Its exit, spin time, contention counts and busyTime of
+    // every category, sampled one tick before, on and after every
+    // step boundary, must equal those of the same steps run as one
+    // syncPair after another. Repeated with a window reset inside
+    // each step (and with none).
+    struct Outcome
+    {
+        Tick exit;
+        Tick wait_a, wait_b;
+        uint64_t contended_a, contended_b;
+        std::vector<Tick> busy; ///< per sample, per category
+        std::vector<Tick> exits; ///< per step (sequential run only)
+    };
+    auto run = [&](bool chained, Tick reset,
+                   const std::vector<Tick> &samples) {
+        sim::Simulation s;
+        CpuPool pool(s, 8, "cpu");
+        SimLock a(s, costs_, "a");
+        SimLock b(s, costs_, "b");
+        SyncChain chain;
+        Charges lead0;
+        lead0.add(usecs(1), CpuCat::Kernel);
+        lead0.add(usecs(2), CpuCat::Other);
+        chain.add(a, CpuCat::Sql, usecs(3), lead0);
+        Charges lead1;
+        lead1.add(usecs(1), CpuCat::Vi);
+        chain.add(b, CpuCat::Vi, usecs(2), lead1,
+                  Charge{usecs(2), CpuCat::Dsa});
+        chain.add(a, CpuCat::Dsa, usecs(1), Charges(),
+                  Charge{usecs(3), CpuCat::Kernel});
+        // H holds A from tick 0; G reaches B while step 1 would run.
+        sim::spawn(timedPair(s, pool, a, 0, usecs(10)));
+        sim::spawn(timedPair(s, pool, b, usecs(13), usecs(8)));
+        Outcome out{};
+        if (chained)
+            sim::spawn(timedChain(s, pool, chain, 0, &out.exit));
+        else
+            sim::spawn(sequentialPairs(s, pool, chain, 0, &out.exits));
+        if (reset >= 0)
+            s.queue().scheduleAt(reset, [&pool] { pool.resetStats(); });
+        out.busy.resize(samples.size() * kCpuCatCount);
+        for (size_t i = 0; i < samples.size(); ++i) {
+            s.queue().scheduleAt(samples[i], [&out, &pool, i] {
+                for (size_t c = 0; c < kCpuCatCount; ++c) {
+                    out.busy[i * kCpuCatCount + c] =
+                        pool.busyTime(static_cast<CpuCat>(c));
+                }
+            });
+        }
+        s.run();
+        if (!chained)
+            out.exit = out.exits.back();
+        out.wait_a = a.totalWait();
+        out.wait_b = b.totalWait();
+        out.contended_a = a.contendedCount();
+        out.contended_b = b.contendedCount();
+        return out;
+    };
+    // Step boundaries from the sequential run: each step's call, the
+    // end of its before charges, its arrival, batch end and exit.
+    const Outcome probe = run(false, -1, {});
+    ASSERT_EQ(probe.exits.size(), 3u);
+    const Tick acquire = costs_.lock_acquire;
+    const std::vector<Tick> calls = {0, probe.exits[0], probe.exits[1]};
+    const std::vector<Tick> leads = {usecs(3), usecs(1), 0};
+    const std::vector<Tick> afters = {0, usecs(2), usecs(3)};
+    std::vector<Tick> samples;
+    for (size_t k = 0; k < 3; ++k) {
+        for (const Tick b : {calls[k], calls[k] + leads[k],
+                             calls[k] + leads[k] + acquire,
+                             probe.exits[k] - afters[k], probe.exits[k]}) {
+            for (const Tick d : {Tick{-1}, Tick{0}, Tick{1}}) {
+                if (b + d >= 0)
+                    samples.push_back(b + d);
+            }
+        }
+    }
+    std::vector<Tick> resets = {-1};
+    for (size_t k = 0; k < 3; ++k)
+        resets.push_back(calls[k] + (probe.exits[k] - calls[k]) / 2 + 7);
+    ASSERT_GT(probe.wait_a, 0);
+    ASSERT_GT(probe.wait_b, 0);
+    for (const Tick reset : resets) {
+        std::vector<Tick> kept;
+        for (const Tick t : samples) {
+            if (t != reset)
+                kept.push_back(t);
+        }
+        const Outcome seq = run(false, reset, kept);
+        const Outcome chain = run(true, reset, kept);
+        EXPECT_EQ(chain.exit, seq.exit) << "reset " << reset;
+        EXPECT_EQ(chain.wait_a, seq.wait_a) << "reset " << reset;
+        EXPECT_EQ(chain.wait_b, seq.wait_b) << "reset " << reset;
+        EXPECT_EQ(chain.contended_a, seq.contended_a);
+        EXPECT_EQ(chain.contended_b, seq.contended_b);
+        for (size_t i = 0; i < chain.busy.size(); ++i) {
+            EXPECT_EQ(chain.busy[i], seq.busy[i])
+                << cpuCatName(static_cast<CpuCat>(i % kCpuCatCount))
+                << " at " << kept[i / kCpuCatCount] << ", reset "
+                << reset;
+        }
+    }
+}
+
+TEST_F(SimLockTest, OvertakingContenderRePlacesLaterSteps)
+{
+    // C's chain (A, then B) is placed at tick 0 with step 0 behind a
+    // 5 us before charge. X calls A at 1 us with none and overtakes
+    // it: step 0 is pushed back behind X, and step 1 on B is placed
+    // again behind it. C exits as the sequential pairs would, and
+    // nothing fires early: the acquire arbitration, two sleeps, X's
+    // exit and C's.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    SimLock b(sim_, costs_, "b");
+    SyncChain chain;
+    Charges slow;
+    slow.add(usecs(5), CpuCat::Kernel);
+    chain.add(lock_, CpuCat::Dsa, usecs(2), slow);
+    chain.add(b, CpuCat::Dsa, usecs(3));
+    std::vector<Tick> exits(2, -1);
+    sim::spawn(timedChain(sim_, pool_, chain, 0, &exits[0]));
+    sim::spawn(timedPair(sim_, pool_, lock_, usecs(1), usecs(8),
+                         &exits[1]));
+    sim_.run();
+    const Tick x_exit = usecs(1) + acquire + usecs(8) + release;
+    ASSERT_LT(usecs(5) + acquire, x_exit);
+    const Tick step0_end = x_exit + usecs(2) + release;
+    const Tick c_exit = step0_end + acquire + usecs(3) + release;
+    EXPECT_EQ(exits, (std::vector<Tick>{c_exit, x_exit}));
+    EXPECT_EQ(lock_.totalWait(), x_exit - (usecs(5) + acquire));
+    EXPECT_EQ(b.contendedCount(), 0u);
+    EXPECT_EQ(sim_.queue().firedCount(), 5u);
+}
+
+TEST_F(SimLockTest, WithdrawnStepPullsLaterBatchEarlier)
+{
+    // C's chain (A, then B) is placed at tick 0; Y, calling B at 0
+    // behind an 8 us before charge, arrives while C's step 1 would
+    // hold B and queues behind it. X then overtakes C's step 0 on A:
+    // step 1 is withdrawn from B, Y's batch moves *earlier* to its own
+    // arrival (its exit re-armed there), and step 1 is placed again
+    // behind it. Everyone exits as the sequential pairs would, with
+    // no spin on B and one event per exit.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    ASSERT_LT(acquire + release, usecs(1));
+    SimLock b(sim_, costs_, "b");
+    SyncChain chain;
+    Charges slow;
+    slow.add(usecs(5), CpuCat::Kernel);
+    chain.add(lock_, CpuCat::Dsa, usecs(2), slow);
+    chain.add(b, CpuCat::Dsa, usecs(4));
+    Charges later;
+    later.add(usecs(8), CpuCat::Kernel);
+    const Charge no_after;
+    std::vector<Tick> exits(3, -1);
+    sim::spawn(timedChain(sim_, pool_, chain, 0, &exits[0]));
+    sim::spawn(chargedPair(sim_, pool_, b, 0, usecs(1), later, no_after,
+                           &exits[1]));
+    sim::spawn(timedPair(sim_, pool_, lock_, usecs(1), usecs(10),
+                         &exits[2]));
+    sim_.run();
+    const Tick x_exit = usecs(1) + acquire + usecs(10) + release;
+    const Tick y_arrival = usecs(8) + acquire;
+    // Placed at tick 0, step 1 would have held B across Y's arrival.
+    const Tick first_step1 = usecs(5) + acquire + usecs(2) + release +
+                             acquire;
+    ASSERT_LT(first_step1, y_arrival);
+    ASSERT_GT(first_step1 + usecs(4) + release, y_arrival);
+    const Tick y_exit = y_arrival + usecs(1) + release;
+    const Tick step1_arrival = x_exit + usecs(2) + release + acquire;
+    ASSERT_GT(step1_arrival, y_exit);
+    const Tick c_exit = step1_arrival + usecs(4) + release;
+    EXPECT_EQ(exits, (std::vector<Tick>{c_exit, y_exit, x_exit}));
+    EXPECT_EQ(b.totalWait(), 0);
+    EXPECT_EQ(b.contendedCount(), 0u);
+    // The acquire arbitration, three sleeps, three exits.
+    EXPECT_EQ(sim_.queue().firedCount(), 7u);
+}
+
+TEST_F(SimLockTest, StepWithdrawnFromSharedBatchPullsLaterBatchEarlier)
+{
+    // As above, but C's step 1 first lands on the tick Y reaches B,
+    // so the two share a batch, and Z queues behind it. When X pushes
+    // C's step 0 back, step 1 leaves the shared batch: Y's batch ends
+    // sooner and Z's batch moves earlier, to its own arrival.
+    const Tick acquire = costs_.lock_acquire;
+    const Tick release = costs_.lock_release;
+    ASSERT_LT(acquire + release, usecs(1));
+    SimLock b(sim_, costs_, "b");
+    SyncChain chain;
+    Charges slow;
+    slow.add(usecs(5), CpuCat::Kernel);
+    chain.add(lock_, CpuCat::Dsa, usecs(2), slow);
+    chain.add(b, CpuCat::Dsa, usecs(4));
+    const Tick first_step1 = usecs(7) + 2 * acquire + release;
+    const Tick z_arrival = first_step1 + usecs(2);
+    Charges y_lead;
+    y_lead.add(first_step1 - acquire, CpuCat::Kernel);
+    Charges z_lead;
+    z_lead.add(z_arrival - acquire, CpuCat::Kernel);
+    const Charge no_after;
+    std::vector<Tick> exits(4, -1);
+    sim::spawn(timedChain(sim_, pool_, chain, 0, &exits[0]));
+    sim::spawn(chargedPair(sim_, pool_, b, 0, usecs(1), y_lead, no_after,
+                           &exits[1]));
+    sim::spawn(chargedPair(sim_, pool_, b, 0, usecs(1), z_lead, no_after,
+                           &exits[2]));
+    sim::spawn(timedPair(sim_, pool_, lock_, usecs(1), usecs(10),
+                         &exits[3]));
+    sim_.run();
+    const Tick x_exit = usecs(1) + acquire + usecs(10) + release;
+    const Tick y_exit = first_step1 + usecs(1) + release;
+    const Tick z_exit = z_arrival + usecs(1) + release;
+    // Shared with step 1, Y's batch would have run past Z's arrival.
+    ASSERT_GT(y_exit + usecs(4) + release, z_arrival);
+    const Tick step1_arrival = x_exit + usecs(2) + release + acquire;
+    ASSERT_GT(step1_arrival, z_exit);
+    const Tick c_exit = step1_arrival + usecs(4) + release;
+    EXPECT_EQ(exits, (std::vector<Tick>{c_exit, y_exit, z_exit, x_exit}));
+    EXPECT_EQ(b.totalWait(), 0);
+    // The acquire arbitration, four sleeps, four exits.
+    EXPECT_EQ(sim_.queue().firedCount(), 9u);
+}
+
+TEST_F(SimLockTest, SameTickChainsAcrossTwoLocksAreOrderInvariant)
+{
+    // Four chains call on one tick (independent sleeps, permuted by
+    // the tie shuffle), two taking A then B and two B then A, while D
+    // holds A. Exits, spin and contention must not depend on the seed
+    // and must equal those of the same steps run as sequential pairs.
+    struct Outcome
+    {
+        std::vector<Tick> exits;
+        Tick wait;
+        uint64_t contended;
+
+        bool
+        operator==(const Outcome &o) const
+        {
+            return exits == o.exits && wait == o.wait &&
+                   contended == o.contended;
+        }
+    };
+    auto measure = [&](uint64_t tie_seed, bool chained) {
+        sim::Simulation s;
+        s.queue().setTieShuffle(tie_seed);
+        CpuPool pool(s, 8, "cpu");
+        SimLock a(s, costs_, "a");
+        SimLock b(s, costs_, "b");
+        std::vector<Tick> exits(5, -1);
+        std::vector<std::vector<Tick>> steps(4);
+        for (int i = 0; i < 4; ++i) {
+            SyncChain chain;
+            SimLock &first = i < 2 ? a : b;
+            SimLock &second = i < 2 ? b : a;
+            Charges lead;
+            lead.add(usecs(1) * i, CpuCat::Other);
+            chain.add(first, CpuCat::Dsa, usecs(1) * (i + 1));
+            chain.add(second, CpuCat::Vi, usecs(2), lead);
+            if (chained) {
+                sim::spawn(timedChain(s, pool, chain, usecs(5),
+                                      &exits[static_cast<size_t>(i)]));
+            } else {
+                sim::spawn(sequentialPairs(s, pool, chain, usecs(5),
+                                           &steps[static_cast<size_t>(i)]));
+            }
+        }
+        sim::spawn(timedPair(s, pool, a, usecs(4), usecs(3), &exits[4]));
+        s.run();
+        if (!chained) {
+            for (size_t i = 0; i < 4; ++i)
+                exits[i] = steps[i].back();
+        }
+        return Outcome{exits, a.totalWait() + b.totalWait(),
+                       a.contendedCount() + b.contendedCount()};
+    };
+    const Outcome expected = measure(1, false);
+    EXPECT_GT(expected.contended, 0u);
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        EXPECT_EQ(measure(seed, true), expected) << "tie seed " << seed;
+        EXPECT_EQ(measure(seed, false), expected) << "tie seed " << seed;
+    }
 }
 
 TEST_F(SimLockTest, LargePlatformPairsCostMore)
